@@ -3,8 +3,8 @@
 // async(f, args...) schedules f(args...) on the resolved thread manager
 // (current worker's, else the process default) and returns a future for its
 // result. This mirrors hpx::async, the API the paper's benchmark uses to
-// launch every partition update (§I-C). Callables and arguments must be
-// copyable (task bodies are type-erased into std::function).
+// launch every partition update (§I-C). The result state, the callable and
+// its arguments share one allocation; the task body captures only that.
 #pragma once
 
 #include <tuple>
@@ -18,17 +18,22 @@ namespace gran {
 template <typename F, typename... Args>
 auto async_on(thread_manager& tm, task_priority priority, F&& f, Args&&... args) {
   using R = std::invoke_result_t<std::decay_t<F>, std::decay_t<Args>&...>;
-  auto st = std::make_shared<detail::shared_state<R>>();
+  using args_t = decltype(std::make_tuple(std::forward<Args>(args)...));
+  struct node {
+    node(std::decay_t<F> fn, args_t a) : f(std::move(fn)), args(std::move(a)) {}
+    detail::shared_state<R> state;
+    std::decay_t<F> f;
+    args_t args;
+  };
+  auto n = std::make_shared<node>(std::forward<F>(f),
+                                  std::make_tuple(std::forward<Args>(args)...));
+  future<R> result(detail::state_of(n));
   tm.spawn(
-      [st, f = std::forward<F>(f),
-       args_tuple = std::make_tuple(std::forward<Args>(args)...)]() mutable {
-        detail::fulfill_state<R>(st, [&]() -> decltype(auto) {
-          return std::apply([&](auto&... unpacked) -> decltype(auto) { return f(unpacked...); },
-                            args_tuple);
-        });
+      [n = std::move(n)] {
+        detail::fulfill_state<R>(n->state, [&n]() -> R { return std::apply(n->f, n->args); });
       },
       priority, "async");
-  return future<R>(st);
+  return result;
 }
 
 template <typename F, typename... Args>

@@ -7,8 +7,12 @@
 // exists for intent-revealing code.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <memory>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "async/shared_state.hpp"
 #include "threads/runtime.hpp"
@@ -22,30 +26,29 @@ class future;
 namespace detail {
 
 // Routes the result of `call` (value, void return, or thrown exception)
-// into a shared state. State pointers are copyable, so these helpers can be
-// captured in std::function-based continuations and task bodies.
+// into a shared state.
 template <typename R, typename F>
-void fulfill_state(const std::shared_ptr<shared_state<R>>& st, F&& call) {
+void fulfill_state(shared_state<R>& st, F&& call) {
   if constexpr (std::is_void_v<R>) {
     try {
       std::forward<F>(call)();
-      st->set_value();
+      st.set_value();
     } catch (...) {
-      st->set_exception(std::current_exception());
+      st.set_exception(std::current_exception());
     }
   } else {
     try {
-      st->set_value(std::forward<F>(call)());
+      st.set_value(std::forward<F>(call)());
     } catch (...) {
-      st->set_exception(std::current_exception());
+      st.set_exception(std::current_exception());
     }
   }
 }
 
 // `call` returns a future<U>; the outer state adopts its outcome (future
-// unwrapping).
+// unwrapping). `st` is shared because the adoption may outlive the caller.
 template <typename U, typename F>
-void fulfill_state_unwrapped(const std::shared_ptr<shared_state<U>>& st, F&& call);
+void fulfill_state_unwrapped(std::shared_ptr<shared_state<U>> st, F&& call);
 
 // Result-type unwrapping: future<future<U>> collapses to future<U>.
 template <typename R>
@@ -112,7 +115,7 @@ class future {
 
   // Low-level hook used by when_all/dataflow: run `fn` (non-blocking!) when
   // ready, inline if already ready.
-  void on_ready(std::function<void()> fn) const {
+  void on_ready(unique_function<void()> fn) const {
     GRAN_ASSERT_MSG(valid(), "on_ready on invalid future");
     state_->add_continuation(std::move(fn));
   }
@@ -175,7 +178,7 @@ future<T> make_exceptional_future(std::exception_ptr error) {
 namespace detail {
 
 template <typename U, typename F>
-void fulfill_state_unwrapped(const std::shared_ptr<shared_state<U>>& st, F&& call) {
+void fulfill_state_unwrapped(std::shared_ptr<shared_state<U>> st, F&& call) {
   future<U> inner;
   try {
     inner = std::forward<F>(call)();
@@ -188,7 +191,7 @@ void fulfill_state_unwrapped(const std::shared_ptr<shared_state<U>>& st, F&& cal
         std::make_exception_ptr(std::future_error(std::future_errc::no_state)));
     return;
   }
-  inner.on_ready([st, inner] {
+  inner.on_ready([st = std::move(st), inner] {
     if (inner.has_exception()) {
       st->set_exception(inner.state()->exception());
     } else if constexpr (std::is_void_v<U>) {
@@ -199,6 +202,100 @@ void fulfill_state_unwrapped(const std::shared_ptr<shared_state<U>>& st, F&& cal
   });
 }
 
+template <typename>
+struct is_tuple : std::false_type {};
+template <typename... Ts>
+struct is_tuple<std::tuple<Ts...>> : std::true_type {};
+
+// The state embedded in a node's control block, sharing the block's
+// ownership: one allocation holds the state and everything the node needs
+// to produce it.
+template <typename Node>
+auto state_of(const std::shared_ptr<Node>& node) {
+  using state_t = std::remove_reference_t<decltype(node->state)>;
+  return std::shared_ptr<state_t>(node, &node->state);
+}
+
+// One node of the execution tree behind dataflow() and future::then(): the
+// result state, the body, its inputs and the countdown to firing share a
+// single allocation. Every input continuation and the task body capture
+// only the node. `Inputs` is a tuple of futures (passed to the body as
+// lvalues) or a vector of futures (passed as a const reference).
+template <typename R, typename Fn, typename Inputs>
+struct dataflow_node {
+  using U = typename unwrap_result<R>::type;
+
+  dataflow_node(Fn fn, Inputs in, std::size_t arrivals, thread_manager& manager,
+                task_priority prio, int hint, const char* what)
+      : f(std::move(fn)),
+        inputs(std::move(in)),
+        remaining(arrivals),
+        tm(&manager),
+        priority(prio),
+        worker_hint(hint),
+        description(what) {}
+
+  shared_state<U> state;
+  Fn f;
+  Inputs inputs;
+  std::atomic<std::size_t> remaining;
+  thread_manager* tm;
+  task_priority priority;
+  int worker_hint;
+  const char* description;
+
+  // Counts `n` arrivals; the last one spawns the body as a task.
+  static void arrive(std::shared_ptr<dataflow_node> self, std::size_t n = 1) {
+    if (self->remaining.fetch_sub(n, std::memory_order_acq_rel) != n) return;
+    thread_manager& manager = *self->tm;
+    const int hint = self->worker_hint;
+    const task_priority prio = self->priority;
+    const char* what = self->description;
+    manager.spawn_on(hint, [self = std::move(self)] { run(self); }, prio, what);
+  }
+
+  // Wires one input: an input that is already ready is counted into the
+  // builder's arrival instead of costing a continuation.
+  template <typename T>
+  static void wire(const std::shared_ptr<dataflow_node>& self, const future<T>& in,
+                   std::size_t& arrived) {
+    GRAN_ASSERT_MSG(in.valid(), "dataflow over an invalid future");
+    if (in.is_ready()) {
+      ++arrived;
+      return;
+    }
+    in.on_ready([self]() mutable { arrive(std::move(self)); });
+  }
+
+  static void run(const std::shared_ptr<dataflow_node>& self) {
+    auto call = [&self]() -> R {
+      // The inputs are released with the call, before the result is
+      // published: a held result must not pin the graph history behind it.
+      // A vector keeps its buffer, which goes back with the node.
+      struct release_inputs {
+        Inputs& in;
+        ~release_inputs() {
+          if constexpr (is_tuple<Inputs>::value) {
+            in = Inputs{};
+          } else {
+            in.clear();
+          }
+        }
+      } release{self->inputs};
+      if constexpr (is_tuple<Inputs>::value) {
+        return std::apply([&self](auto&... x) -> R { return self->f(x...); }, self->inputs);
+      } else {
+        return self->f(std::as_const(self->inputs));
+      }
+    };
+    if constexpr (unwrap_result<R>::is_future) {
+      fulfill_state_unwrapped(state_of(self), call);
+    } else {
+      fulfill_state<U>(self->state, call);
+    }
+  }
+};
+
 }  // namespace detail
 
 template <typename T>
@@ -206,24 +303,16 @@ template <typename F>
 auto future<T>::then(F&& f, task_priority priority) const {
   GRAN_ASSERT_MSG(valid(), "then on invalid future");
   using R = std::invoke_result_t<std::decay_t<F>, future<T>>;
-  using U = typename detail::unwrap_result<R>::type;
-
-  auto st = std::make_shared<detail::shared_state<U>>();
-  thread_manager* tm = &resolve_manager();
-
-  future<T> self = *this;
-  on_ready([tm, st, f = std::forward<F>(f), self, priority] {
-    tm->spawn(
-        [st, f, self] {
-          if constexpr (detail::unwrap_result<R>::is_future) {
-            detail::fulfill_state_unwrapped(st, [&] { return f(self); });
-          } else {
-            detail::fulfill_state<U>(st, [&]() -> decltype(auto) { return f(self); });
-          }
-        },
-        priority, "future::then");
-  });
-  return future<U>(st);
+  using node_t = detail::dataflow_node<R, std::decay_t<F>, std::tuple<future<T>>>;
+  // Two arrivals: this future's readiness and the builder's own.
+  auto node = std::make_shared<node_t>(std::forward<F>(f), std::tuple<future<T>>(*this),
+                                       2, resolve_manager(), priority, -1,
+                                       "future::then");
+  auto result = future<typename node_t::U>(detail::state_of(node));
+  std::size_t arrived = 1;
+  node_t::wire(node, *this, arrived);
+  node_t::arrive(std::move(node), arrived);
+  return result;
 }
 
 // Unwraps a future<future<U>> into a future<U>.

@@ -6,9 +6,16 @@
 // lock). Continuations are the mechanism dataflow/when_all/then use to turn
 // data dependencies into the runtime-generated execution tree the paper
 // describes (§I-C).
+//
+// A state allocates nothing of its own: waiters queue intrusively from
+// their own frames, and the first few continuations sit in inline slots
+// (a heat-ring partition has three consumers). Nodes that produce a state
+// (dataflow, then, async, when_all) embed it in their single control block.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <future>  // std::future_error / future_errc
 #include <optional>
@@ -20,6 +27,7 @@
 #include "sync/timer_service.hpp"
 #include "sync/wait_queue.hpp"
 #include "util/assert.hpp"
+#include "util/unique_function.hpp"
 
 namespace gran::detail {
 
@@ -36,7 +44,9 @@ template <typename T>
 class shared_state {
  public:
   using storage_t = typename state_storage<T>::type;
-  using continuation_fn = std::function<void()>;
+  using continuation_fn = unique_function<void()>;
+  // Continuations held without a spill allocation.
+  static constexpr std::size_t k_inline_continuations = 3;
 
   shared_state() = default;
   shared_state(const shared_state&) = delete;
@@ -45,69 +55,58 @@ class shared_state {
   bool is_ready() const noexcept { return ready_.load(std::memory_order_acquire); }
 
   // --- producer side ------------------------------------------------------
+  //
+  // The caller keeps the state alive for the duration of the call (promises
+  // and node blocks hold it): continuations run in place after the publish.
 
   template <typename... Args>
   void set_value(Args&&... args) {
-    std::vector<continuation_fn> continuations;
-    {
-      guard_.lock();
-      if (ready_.load(std::memory_order_relaxed)) {
-        guard_.unlock();
-        throw std::future_error(std::future_errc::promise_already_satisfied);
-      }
-      value_.emplace(std::forward<Args>(args)...);
-      ready_.store(true, std::memory_order_release);
-      waiters_.notify_all();
-      continuations.swap(continuations_);
+    guard_.lock();
+    if (ready_.load(std::memory_order_relaxed)) {
       guard_.unlock();
+      throw std::future_error(std::future_errc::promise_already_satisfied);
     }
-    for (auto& fn : continuations) fn();
+    value_.emplace(std::forward<Args>(args)...);
+    publish_and_unlock();
   }
 
   void set_exception(std::exception_ptr error) {
     GRAN_ASSERT(error != nullptr);
-    std::vector<continuation_fn> continuations;
-    {
-      guard_.lock();
-      if (ready_.load(std::memory_order_relaxed)) {
-        guard_.unlock();
-        throw std::future_error(std::future_errc::promise_already_satisfied);
-      }
-      error_ = std::move(error);
-      ready_.store(true, std::memory_order_release);
-      waiters_.notify_all();
-      continuations.swap(continuations_);
+    guard_.lock();
+    if (ready_.load(std::memory_order_relaxed)) {
       guard_.unlock();
+      throw std::future_error(std::future_errc::promise_already_satisfied);
     }
-    for (auto& fn : continuations) fn();
+    error_ = std::move(error);
+    publish_and_unlock();
   }
 
   // --- consumer side ------------------------------------------------------
 
   void wait() const {
     if (is_ready()) return;
-    for (;;) {
-      task* const t = thread_manager::current_task();
-      if (t != nullptr) this_task::prepare_suspend();
+    task* const t = thread_manager::current_task();
+    if (t != nullptr) this_task::prepare_suspend();
 
-      guard_.lock();
-      if (ready_.load(std::memory_order_relaxed)) {
-        guard_.unlock();
-        if (t != nullptr) this_task::cancel_suspend();
-        return;
-      }
-      if (t != nullptr) {
-        waiters_.add_task(t);
-        guard_.unlock();
-        this_task::commit_suspend();
-        // Readiness is monotonic; loop only as spurious-wake insurance.
-      } else {
-        external_waiter w;
-        waiters_.add_external(&w);
-        guard_.unlock();
-        w.wait();
-        return;
-      }
+    guard_.lock();
+    if (ready_.load(std::memory_order_relaxed)) {
+      guard_.unlock();
+      if (t != nullptr) this_task::cancel_suspend();
+      return;
+    }
+    if (t != nullptr) {
+      wait_entry me(t);
+      waiters_.push(me);
+      guard_.unlock();
+      // Only the publish wakes this entry, and readiness is final.
+      this_task::commit_suspend();
+      GRAN_DEBUG_ASSERT(is_ready());
+    } else {
+      external_waiter w;
+      wait_entry me(&w);
+      waiters_.push(me);
+      guard_.unlock();
+      w.wait();
     }
   }
 
@@ -120,6 +119,7 @@ class shared_state {
       // External thread: a timed park, with stale-entry cleanup on timeout.
       for (;;) {
         external_waiter w;
+        wait_entry me(&w);
         guard_.lock();
         if (ready_.load(std::memory_order_relaxed)) {
           guard_.unlock();
@@ -129,11 +129,11 @@ class shared_state {
           guard_.unlock();
           return false;
         }
-        waiters_.add_external(&w);
+        waiters_.push(me);
         guard_.unlock();
         if (w.wait_until(deadline)) return true;
         guard_.lock();
-        const bool removed = waiters_.remove_external(&w);
+        const bool removed = waiters_.remove(me);
         guard_.unlock();
         // Not removed => a notifier popped us concurrently; it will (or
         // already did) call notify(), making the slot safe to destroy only
@@ -144,6 +144,7 @@ class shared_state {
     }
     // Task path: park with a cancellable timer wake racing the notifier.
     for (;;) {
+      wait_entry me(t);
       this_task::prepare_suspend();
       guard_.lock();
       if (ready_.load(std::memory_order_relaxed)) {
@@ -156,16 +157,16 @@ class shared_state {
         this_task::cancel_suspend();
         return false;
       }
-      waiters_.add_task(t);
+      waiters_.push(me);
       guard_.unlock();
       const wake_ticket ticket = timer_service::global().schedule_wake(t, deadline);
       this_task::commit_suspend();
       // Either the notifier or the timer woke us. Retire the timer claim
-      // (waiting out an in-flight delivery) and drop any stale waiter entry
-      // before looping.
+      // (waiting out an in-flight delivery) and drop a stale entry before
+      // it leaves scope.
       wake_ticket_cancel(ticket);
       guard_.lock();
-      waiters_.remove(t);
+      waiters_.remove(me);
       guard_.unlock();
       if (is_ready()) return true;
       if (timer_service::clock::now() >= deadline) return false;
@@ -179,6 +180,15 @@ class shared_state {
     return *value_;
   }
 
+  // True while some thread or task is blocked in wait()/wait_until(). A
+  // test hook (it takes the lock): no runtime path needs it.
+  bool has_waiters() const noexcept {
+    guard_.lock();
+    const bool any = !waiters_.empty();
+    guard_.unlock();
+    return any;
+  }
+
   bool has_exception() const noexcept {
     return is_ready() && error_ != nullptr;
   }
@@ -189,23 +199,51 @@ class shared_state {
   // Runs `fn` when the state becomes ready. If it already is, `fn` runs
   // inline in the calling thread. `fn` must not block.
   void add_continuation(continuation_fn fn) {
-    guard_.lock();
-    if (!ready_.load(std::memory_order_relaxed)) {
-      continuations_.push_back(std::move(fn));
+    if (!is_ready()) {
+      guard_.lock();
+      if (!ready_.load(std::memory_order_relaxed)) {
+        if (num_inline_ < k_inline_continuations) {
+          inline_[num_inline_++] = std::move(fn);
+        } else {
+          spill_.push_back(std::move(fn));
+        }
+        guard_.unlock();
+        return;
+      }
       guard_.unlock();
-      return;
     }
-    guard_.unlock();
     fn();
   }
 
  private:
+  // Called with guard_ held and the outcome stored.
+  void publish_and_unlock() {
+    ready_.store(true, std::memory_order_release);
+    waiters_.notify_all();
+    guard_.unlock();
+    // Readiness is final, so nobody registers any more: the continuations
+    // run in place, in registration order, each released right after it ran
+    // (a held state must not keep its consumers alive).
+    for (std::size_t i = 0; i < num_inline_; ++i) {
+      inline_[i]();
+      inline_[i] = nullptr;
+    }
+    if (!spill_.empty()) {
+      for (continuation_fn& fn : spill_) fn();
+      std::vector<continuation_fn>().swap(spill_);
+    }
+  }
+
+  // What get() reads sits first, in the state's first cache line; the
+  // continuation slots follow.
   mutable spinlock guard_;
-  mutable wait_queue waiters_;
-  std::vector<continuation_fn> continuations_;
+  std::atomic<bool> ready_{false};
+  std::uint8_t num_inline_ = 0;
   std::optional<storage_t> value_;
   std::exception_ptr error_;
-  std::atomic<bool> ready_{false};
+  mutable wait_queue waiters_;
+  continuation_fn inline_[k_inline_continuations];
+  std::vector<continuation_fn> spill_;
 };
 
 }  // namespace gran::detail

@@ -18,15 +18,22 @@ namespace gran {
 
 namespace detail {
 
-struct when_all_control {
-  explicit when_all_control(std::size_t n) : remaining(n) {}
+// when_all's single allocation: the result state and the countdown.
+struct when_all_node {
+  explicit when_all_node(std::size_t n) : remaining(n) {}
+  shared_state<void> state;
   std::atomic<std::size_t> remaining;
-  std::shared_ptr<shared_state<void>> st = std::make_shared<shared_state<void>>();
 
   void arrive() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) st->set_value();
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) state.set_value();
   }
 };
+
+template <typename T>
+void when_all_wire(const std::shared_ptr<when_all_node>& node, const future<T>& f) {
+  GRAN_ASSERT_MSG(f.valid(), "when_all over an invalid future");
+  f.on_ready([node] { node->arrive(); });
+}
 
 }  // namespace detail
 
@@ -35,12 +42,9 @@ struct when_all_control {
 template <typename T>
 future<void> when_all(const std::vector<future<T>>& futures) {
   if (futures.empty()) return make_ready_future();
-  auto ctl = std::make_shared<detail::when_all_control>(futures.size());
-  future<void> result(ctl->st);
-  for (const auto& f : futures) {
-    GRAN_ASSERT_MSG(f.valid(), "when_all over an invalid future");
-    f.on_ready([ctl] { ctl->arrive(); });
-  }
+  auto node = std::make_shared<detail::when_all_node>(futures.size());
+  future<void> result(detail::state_of(node));
+  for (const auto& f : futures) detail::when_all_wire(node, f);
   return result;
 }
 
@@ -50,14 +54,9 @@ future<void> when_all(const future<Ts>&... futures) {
   if constexpr (n == 0) {
     return make_ready_future();
   } else {
-    auto ctl = std::make_shared<detail::when_all_control>(n);
-    future<void> result(ctl->st);
-    (
-        [&] {
-          GRAN_ASSERT_MSG(futures.valid(), "when_all over an invalid future");
-          futures.on_ready([ctl] { ctl->arrive(); });
-        }(),
-        ...);
+    auto node = std::make_shared<detail::when_all_node>(n);
+    future<void> result(detail::state_of(node));
+    (detail::when_all_wire(node, futures), ...);
     return result;
   }
 }
@@ -66,17 +65,16 @@ future<void> when_all(const future<Ts>&... futures) {
 template <typename T>
 future<std::size_t> when_any(const std::vector<future<T>>& futures) {
   GRAN_ASSERT_MSG(!futures.empty(), "when_any over an empty set");
-  struct control {
+  struct node {
+    detail::shared_state<std::size_t> state;
     std::atomic<bool> fired{false};
-    std::shared_ptr<detail::shared_state<std::size_t>> st =
-        std::make_shared<detail::shared_state<std::size_t>>();
   };
-  auto ctl = std::make_shared<control>();
-  future<std::size_t> result(ctl->st);
+  auto n = std::make_shared<node>();
+  future<std::size_t> result(detail::state_of(n));
   for (std::size_t i = 0; i < futures.size(); ++i) {
     GRAN_ASSERT_MSG(futures[i].valid(), "when_any over an invalid future");
-    futures[i].on_ready([ctl, i] {
-      if (!ctl->fired.exchange(true, std::memory_order_acq_rel)) ctl->st->set_value(i);
+    futures[i].on_ready([n, i] {
+      if (!n->fired.exchange(true, std::memory_order_acq_rel)) n->state.set_value(i);
     });
   }
   return result;

@@ -6,14 +6,10 @@
 #include "util/assert.hpp"
 
 #if defined(GRAN_FIBER_UCONTEXT)
-#include <ucontext.h>
-
-#include <new>
-
 namespace gran {
 
-// ucontext build: execution_context::sp points at a heap ucontext_t.
-// A static entry shim dispatches to the requested entry function; the switch
+// ucontext build: the ucontext_t lives inside the execution_context. A
+// static entry shim dispatches to the requested entry function; the switch
 // argument is carried in a thread-local because makecontext only forwards
 // ints portably.
 
@@ -21,51 +17,31 @@ namespace {
 
 thread_local void* tl_switch_arg = nullptr;
 
-struct uctx {
-  ucontext_t ctx;
-  context_entry_fn entry = nullptr;
-  bool started = false;
-};
-
 void uctx_entry_shim(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<uctx*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                       static_cast<std::uintptr_t>(lo));
+  auto* self = reinterpret_cast<execution_context*>(
+      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
   self->entry(tl_switch_arg);
   GRAN_ASSERT_MSG(false, "fiber entry returned");
 }
 
 }  // namespace
 
-execution_context ctx_make(void* stack_base, std::size_t size, context_entry_fn entry) {
-  auto* u = new uctx;
-  GRAN_ASSERT(getcontext(&u->ctx) == 0);
-  u->ctx.uc_stack.ss_sp = stack_base;
-  u->ctx.uc_stack.ss_size = size;
-  u->ctx.uc_link = nullptr;
-  u->entry = entry;
-  const auto addr = reinterpret_cast<std::uintptr_t>(u);
-  makecontext(&u->ctx, reinterpret_cast<void (*)()>(uctx_entry_shim), 2,
+void ctx_make(execution_context& ctx, void* stack_base, std::size_t size,
+              context_entry_fn entry) {
+  GRAN_ASSERT(getcontext(&ctx.uc) == 0);
+  ctx.uc.uc_stack.ss_sp = stack_base;
+  ctx.uc.uc_stack.ss_size = size;
+  ctx.uc.uc_link = nullptr;
+  ctx.entry = entry;
+  const auto addr = reinterpret_cast<std::uintptr_t>(&ctx);
+  makecontext(&ctx.uc, reinterpret_cast<void (*)()>(uctx_entry_shim), 2,
               static_cast<unsigned>(addr >> 32), static_cast<unsigned>(addr));
-  execution_context ec;
-  ec.sp = u;
-  return ec;
 }
 
 void* ctx_switch(execution_context& from, execution_context& to, void* arg) {
-  // `from` may be a bare anchor (sp == nullptr) the first time a worker
-  // suspends into a fiber: lazily give it a ucontext_t shell.
-  if (from.sp == nullptr) from.sp = new uctx;
-  auto* f = static_cast<uctx*>(from.sp);
-  auto* t = static_cast<uctx*>(to.sp);
-  GRAN_ASSERT(t != nullptr);
   tl_switch_arg = arg;
-  GRAN_ASSERT(swapcontext(&f->ctx, &t->ctx) == 0);
+  GRAN_ASSERT(swapcontext(&from.uc, &to.uc) == 0);
   return tl_switch_arg;
-}
-
-void ctx_destroy(execution_context& ctx) {
-  delete static_cast<uctx*>(ctx.sp);
-  ctx.sp = nullptr;
 }
 
 }  // namespace gran
@@ -80,7 +56,8 @@ void gran_ctx_trampoline();
 
 namespace gran {
 
-execution_context ctx_make(void* stack_base, std::size_t size, context_entry_fn entry) {
+void ctx_make(execution_context& ctx, void* stack_base, std::size_t size,
+              context_entry_fn entry) {
   GRAN_ASSERT(stack_base != nullptr && size >= 256);
 
   // 16-byte-aligned top of stack.
@@ -104,17 +81,13 @@ execution_context ctx_make(void* stack_base, std::size_t size, context_entry_fn 
   fpu[0] = 0x1F80;                                       // MXCSR
   *reinterpret_cast<std::uint16_t*>(fpu + 1) = 0x037F;   // x87 control word
 
-  execution_context ec;
-  ec.sp = frame;
-  return ec;
+  ctx.sp = frame;
 }
 
 void* ctx_switch(execution_context& from, execution_context& to, void* arg) {
   GRAN_DEBUG_ASSERT(to.sp != nullptr);
   return gran_ctx_switch(&from.sp, to.sp, arg);
 }
-
-void ctx_destroy(execution_context& ctx) { ctx.sp = nullptr; }
 
 }  // namespace gran
 

@@ -50,7 +50,7 @@ fiber::fiber(fiber_stack stack, body_fn body)
     : stack_(std::move(stack)), body_(std::move(body)) {
   GRAN_ASSERT_MSG(stack_.valid(), "fiber requires a valid stack");
   GRAN_ASSERT_MSG(static_cast<bool>(body_), "fiber requires a body");
-  self_ctx_ = ctx_make(stack_.base(), stack_.size(), &fiber::entry);
+  ctx_make(self_ctx_, stack_.base(), stack_.size(), &fiber::entry);
 #ifdef GRAN_TSAN_FIBERS
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -61,8 +61,6 @@ fiber::~fiber() {
   // Destroying a started-but-unfinished fiber abandons its stack frame; the
   // stack unmaps with the object. Destructors on that abandoned frame do not
   // run — the scheduler only destroys terminated tasks, enforced there.
-  ctx_destroy(self_ctx_);
-  ctx_destroy(return_ctx_);
 #ifdef GRAN_TSAN_FIBERS
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif

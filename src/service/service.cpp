@@ -66,6 +66,8 @@ task_service::task_service(thread_manager& tm, service_config cfg)
 
 task_service::~task_service() {
   quiesce();
+  while (tasks_in_flight_.load(std::memory_order_acquire) != 0)
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   shutdown();
   if (counters_registered_) unregister_perf_counters();
 }
@@ -183,8 +185,13 @@ submit_status task_service::submit(task::body_fn body) {
 
 void task_service::arm_drainer(shard& s, int shard_index) {
   if (s.drainer_armed.exchange(true, std::memory_order_seq_cst)) return;
-  tm_.spawn([this, shard_index] { drain(shard_index); }, task_priority::normal,
-            "service-drain");
+  tasks_in_flight_.fetch_add(1, std::memory_order_relaxed);
+  tm_.spawn(
+      [this, shard_index] {
+        drain(shard_index);
+        tasks_in_flight_.fetch_sub(1, std::memory_order_release);
+      },
+      task_priority::normal, "service-drain");
 }
 
 void task_service::drain(int shard_index) {
@@ -215,6 +222,7 @@ void task_service::drain(int shard_index) {
 }
 
 void task_service::dispatch(request* r) {
+  tasks_in_flight_.fetch_add(1, std::memory_order_relaxed);
   tm_.spawn(
       [this, r] {
         const std::uint64_t first = tsc_clock::now();
@@ -230,6 +238,7 @@ void task_service::dispatch(request* r) {
                                  : 0);
         delete r;
         note_completed();
+        tasks_in_flight_.fetch_sub(1, std::memory_order_release);
       },
       task_priority::normal, "service-request");
 }

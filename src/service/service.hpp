@@ -190,6 +190,12 @@ class task_service {
   std::mutex block_mutex_;
   std::condition_variable block_cv_;
 
+  // Drainer and request tasks spawned and not yet past their last touch of
+  // this object. A zero backlog does not mean they are gone (a drainer
+  // re-checks its ring after the last dispatch, a request reads waiters_
+  // after counting itself complete), so the destructor also waits for this.
+  alignas(cache_line_size) std::atomic<std::int64_t> tasks_in_flight_{0};
+
   perf::log2_histogram hist_sojourn_;
   perf::log2_histogram hist_queue_wait_;
   bool counters_registered_ = false;

@@ -14,14 +14,12 @@ void barrier::arrive_and_wait() {
   if (t != nullptr) this_task::prepare_suspend();
 
   guard_.lock();
-  const std::uint64_t my_phase = phase_;
   ++arrived_;
   if (arrived_ == expected_) {
-    // Phase complete: run the completion, flip the phase, release everyone
-    // (dispatch outside the spinlock — see wait_queue docs).
+    // Phase complete: run the completion, start the next phase, release
+    // everyone (dispatch outside the spinlock — see wait_queue docs).
     if (on_completion_) on_completion_();
     arrived_ = 0;
-    ++phase_;
     wait_queue to_wake = waiters_.detach_all();
     guard_.unlock();
     if (t != nullptr) this_task::cancel_suspend();
@@ -30,26 +28,16 @@ void barrier::arrive_and_wait() {
   }
 
   if (t != nullptr) {
-    waiters_.add_task(t);
+    wait_entry me(t);
+    waiters_.push(me);
     guard_.unlock();
-    // Wait until the phase advances; a barging wake from a later phase is
-    // impossible because notify_all only fires on our phase's completion,
-    // but re-check the phase to be robust against spurious wakes.
-    for (;;) {
-      this_task::commit_suspend();
-      guard_.lock();
-      const bool advanced = phase_ != my_phase;
-      if (advanced) {
-        guard_.unlock();
-        return;
-      }
-      this_task::prepare_suspend();
-      waiters_.add_task(t);
-      guard_.unlock();
-    }
+    // Only this phase's completion wakes the entry (wakes of a task parked
+    // in a primitive are reserved to the primitive).
+    this_task::commit_suspend();
   } else {
     external_waiter w;
-    waiters_.add_external(&w);
+    wait_entry me(&w);
+    waiters_.push(me);
     guard_.unlock();
     w.wait();
     // External waiters are only notified on phase completion.
@@ -65,7 +53,6 @@ void barrier::arrive_and_drop() {
   if (expected_ > 0 && arrived_ == expected_) {
     if (on_completion_) on_completion_();
     arrived_ = 0;
-    ++phase_;
     to_wake = waiters_.detach_all();
   }
   guard_.unlock();

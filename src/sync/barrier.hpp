@@ -33,7 +33,6 @@ class barrier {
   std::function<void()> on_completion_;
   std::int64_t expected_;
   std::int64_t arrived_ = 0;
-  std::uint64_t phase_ = 0;
 };
 
 }  // namespace gran

@@ -43,12 +43,14 @@ class channel {
         return true;
       }
       if (t != nullptr) {
-        send_waiters_.add_task(t);
+        wait_entry me(t);
+        send_waiters_.push(me);
         guard_.unlock();
         this_task::commit_suspend();
       } else {
         external_waiter w;
-        send_waiters_.add_external(&w);
+        wait_entry me(&w);
+        send_waiters_.push(me);
         guard_.unlock();
         w.wait();
       }
@@ -78,12 +80,14 @@ class channel {
         return std::nullopt;
       }
       if (t != nullptr) {
-        recv_waiters_.add_task(t);
+        wait_entry me(t);
+        recv_waiters_.push(me);
         guard_.unlock();
         this_task::commit_suspend();
       } else {
         external_waiter w;
-        recv_waiters_.add_external(&w);
+        wait_entry me(&w);
+        recv_waiters_.push(me);
         guard_.unlock();
         w.wait();
       }

@@ -10,7 +10,8 @@ void condition_variable::wait(std::unique_lock<mutex>& lock) {
   if (t != nullptr) {
     this_task::prepare_suspend();
     guard_.lock();
-    waiters_.add_task(t);
+    wait_entry me(t);
+    waiters_.push(me);
     guard_.unlock();
     // Release the user mutex only after registering: a notifier that takes
     // the mutex after unlock() is guaranteed to see this waiter.
@@ -19,7 +20,8 @@ void condition_variable::wait(std::unique_lock<mutex>& lock) {
   } else {
     external_waiter w;
     guard_.lock();
-    waiters_.add_external(&w);
+    wait_entry me(&w);
+    waiters_.push(me);
     guard_.unlock();
     lock.unlock();
     w.wait();

@@ -35,13 +35,15 @@ void event::wait() const {
       return;
     }
     if (t != nullptr) {
-      waiters_.add_task(t);
+      wait_entry me(t);
+      waiters_.push(me);
       guard_.unlock();
       this_task::commit_suspend();
       // Re-check: reset() may have raced with the wake.
     } else {
       external_waiter w;
-      waiters_.add_external(&w);
+      wait_entry me(&w);
+      waiters_.push(me);
       guard_.unlock();
       w.wait();
       return;  // external waiters are only notified by set()

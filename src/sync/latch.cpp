@@ -29,25 +29,19 @@ bool latch::try_wait() const {
 void latch::wait() const {
   task* const t = thread_manager::current_task();
   if (t != nullptr) {
-    // Predicate loop: tolerate spurious wakes (a waker is allowed to wake
-    // any suspended task; only the count reaching zero releases us).
-    for (;;) {
-      this_task::prepare_suspend();
-      guard_.lock();
-      if (count_ == 0) {
-        guard_.unlock();
-        this_task::cancel_suspend();
-        return;
-      }
-      waiters_.add_task(t);
+    this_task::prepare_suspend();
+    guard_.lock();
+    if (count_ == 0) {
       guard_.unlock();
-      this_task::commit_suspend();
-      // Re-registering on a spurious wake requires removing any stale entry
-      // first (the real release would otherwise wake us twice).
-      guard_.lock();
-      waiters_.remove(t);
-      guard_.unlock();
+      this_task::cancel_suspend();
+      return;
     }
+    wait_entry me(t);
+    waiters_.push(me);
+    guard_.unlock();
+    // Only the count reaching zero wakes the entry (wakes of a task parked
+    // in a primitive are reserved to the primitive), and that is final.
+    this_task::commit_suspend();
   } else {
     external_waiter w;
     guard_.lock();
@@ -55,7 +49,8 @@ void latch::wait() const {
       guard_.unlock();
       return;
     }
-    waiters_.add_external(&w);
+    wait_entry me(&w);
+    waiters_.push(me);
     guard_.unlock();
     w.wait();
   }

@@ -15,14 +15,16 @@ void mutex::lock() {
       return;
     }
     if (t != nullptr) {
-      waiters_.add_task(t);
+      wait_entry me(t);
+      waiters_.push(me);
       guard_.unlock();
       this_task::commit_suspend();
       // Woken by unlock(); loop to compete for the lock again (barging
       // keeps the fast path cheap; starvation is bounded by FIFO wakes).
     } else {
       external_waiter w;
-      waiters_.add_external(&w);
+      wait_entry me(&w);
+      waiters_.push(me);
       guard_.unlock();
       w.wait();
     }

@@ -30,13 +30,15 @@ void counting_semaphore::acquire() {
       return;
     }
     if (t != nullptr) {
-      waiters_.add_task(t);
+      wait_entry me(t);
+      waiters_.push(me);
       guard_.unlock();
       this_task::commit_suspend();
       // Loop: competes again (another acquirer may have barged in).
     } else {
       external_waiter w;
-      waiters_.add_external(&w);
+      wait_entry me(&w);
+      waiters_.push(me);
       guard_.unlock();
       w.wait();
     }

@@ -40,7 +40,7 @@ task::~task() {
 void task::convert_to_pending(fiber_stack stack) {
   GRAN_ASSERT(state() == task_state::staged);
   GRAN_ASSERT(!fib_);
-  fib_ = std::make_unique<fiber>(std::move(stack), [this] {
+  fib_.emplace(std::move(stack), [this] {
     // An exception escaping a raw task has nowhere to go (async() wraps user
     // callables so their exceptions travel through the future instead);
     // terminate with a diagnosable message rather than unwinding into the
@@ -107,8 +107,9 @@ bool task::wake() {
           return false;  // the suspending worker re-queues
         break;
       }
-      // Already runnable / running / finished: the waiter's predicate loop
-      // re-checks, so a lost spurious wake is harmless.
+      // Already runnable / running / finished: nothing to wake, so the wake
+      // is dropped (e.g. the later of a timed wait's timer and notifier);
+      // the task re-checks its condition when it runs.
       case task_state::pending:
       case task_state::active:
       case task_state::wake_requested:

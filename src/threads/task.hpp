@@ -16,7 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <optional>
 
 #include "fiber/fiber.hpp"
 #include "threads/priority.hpp"
@@ -95,7 +95,7 @@ class task {
 
   // --- execution plumbing -----------------------------------------------
 
-  bool has_context() const noexcept { return fib_ != nullptr; }
+  bool has_context() const noexcept { return fib_.has_value(); }
   fiber& context() noexcept { return *fib_; }
   // Reclaims the stack of a terminated task for pooling.
   fiber_stack take_stack();
@@ -128,7 +128,9 @@ class task {
   static std::atomic<std::uint64_t> next_id_;
 
   body_fn body_;
-  std::unique_ptr<fiber> fib_;
+  // The execution context lives inside the descriptor: converting a staged
+  // task allocates nothing (the stack comes from the pool).
+  std::optional<fiber> fib_;
   std::atomic<task_state> state_{task_state::staged};
   const std::uint64_t id_;
   task_priority priority_;

@@ -83,7 +83,11 @@ class unique_function<R(Args...)> {
     // Moves the target from `from` into `to_buffer` (inline targets) —
     // heap targets move the pointer instead and never use this.
     void (*move_construct)(void* to_buffer, void* from);
+    // Destroys an inline target in place.
     void (*destroy)(void*);
+    // Destroys and frees a heap target through the matching `delete`, so an
+    // over-aligned Fn goes back through the aligned operator delete.
+    void (*destroy_heap)(void*);
   };
 
   template <typename Fn>
@@ -96,6 +100,7 @@ class unique_function<R(Args...)> {
         static_cast<Fn*>(from)->~Fn();
       },
       [](void* target) { static_cast<Fn*>(target)->~Fn(); },
+      [](void* target) { delete static_cast<Fn*>(target); },
   };
 
   void* target() noexcept {
@@ -122,8 +127,7 @@ class unique_function<R(Args...)> {
       if (inline_) {
         vtable_->destroy(buffer_);
       } else {
-        vtable_->destroy(heap_);
-        ::operator delete(heap_);
+        vtable_->destroy_heap(heap_);
       }
     }
     vtable_ = nullptr;

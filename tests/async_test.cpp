@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -294,6 +296,77 @@ TEST_F(AsyncTest, DataflowChainDepth) {
   for (int i = 0; i < 200; ++i)
     f = dataflow([](future<int>& prev) { return prev.get() + 1; }, f);
   EXPECT_EQ(f.get(), 200);
+}
+
+TEST_F(AsyncTest, HeldResultDoesNotPinChainHistory) {
+  // Only the last future of a depth-64 chain is kept. Each node hands its
+  // inputs back once its body has run, so nothing upstream stays alive.
+  std::weak_ptr<detail::shared_state<int>> first_input;
+  std::weak_ptr<detail::shared_state<int>> middle;
+  future<int> last;
+  {
+    promise<int> p;
+    future<int> f = p.get_future();
+    first_input = f.state();
+    for (int i = 0; i < 64; ++i) {
+      f = dataflow([](future<int>& prev) { return prev.get() + 1; }, f);
+      if (i == 31) middle = f.state();
+    }
+    last = f;
+    p.set_value(0);
+  }
+  EXPECT_EQ(last.get(), 64);
+  tm.wait_idle();  // every node's task has retired
+  EXPECT_TRUE(first_input.expired());
+  EXPECT_TRUE(middle.expired());
+  EXPECT_FALSE(last.state() == nullptr);
+}
+
+TEST_F(AsyncTest, ContinuationsPastInlineSlotsRunOnceInOrder) {
+  static constexpr int n = 10;
+  static_assert(n > detail::shared_state<int>::k_inline_continuations);
+  promise<int> p;
+  future<int> f = p.get_future();
+  std::vector<int> order;  // continuations run sequentially on the setter
+  for (int i = 0; i < n; ++i) f.on_ready([&order, i] { order.push_back(i); });
+  EXPECT_TRUE(order.empty());
+  p.set_value(1);
+  std::vector<int> expected(n);
+  for (int i = 0; i < n; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(order, expected);
+  f.on_ready([&order] { order.push_back(n); });  // ready: runs inline, once
+  EXPECT_EQ(order.size(), static_cast<std::size_t>(n + 1));
+}
+
+TEST_F(AsyncTest, TimedOutWaitersLeaveTheWaitQueue) {
+  using namespace std::chrono_literals;
+  promise<int> p;
+  future<int> f = p.get_future();
+  // A waiter that stays queued while the timed ones come and go.
+  auto staying = async([f] { return f.get(); });
+  while (!f.state()->has_waiters()) std::this_thread::yield();
+
+  std::future_status external_status = std::future_status::ready;
+  std::thread external([&] { external_status = f.wait_for(30ms); });
+  auto task_status = async([f] { return f.wait_for(20ms); });
+  external.join();
+  EXPECT_EQ(external_status, std::future_status::timeout);
+  EXPECT_EQ(task_status.get(), std::future_status::timeout);
+  EXPECT_TRUE(f.state()->has_waiters());  // only the staying waiter is left
+
+  p.set_value(3);
+  EXPECT_EQ(staying.get(), 3);
+  EXPECT_FALSE(f.state()->has_waiters());
+
+  // Both kinds time out alone too, leaving an empty queue behind.
+  promise<int> q;
+  future<int> g = q.get_future();
+  EXPECT_EQ(g.wait_for(2ms), std::future_status::timeout);
+  EXPECT_FALSE(g.state()->has_waiters());
+  EXPECT_EQ(async([g] { return g.wait_for(2ms); }).get(), std::future_status::timeout);
+  EXPECT_FALSE(g.state()->has_waiters());
+  q.set_value(4);
+  EXPECT_EQ(g.get(), 4);
 }
 
 // --- packaged_task -----------------------------------------------------------------

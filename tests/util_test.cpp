@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <cstdlib>
 #include <sstream>
@@ -344,6 +345,34 @@ TEST(UniqueFunction, MoveAssignReleasesOldTarget) {
   unique_function<void()> f = [c = counter{flag}] { (void)c; };
   f = [] {};  // old target destroyed exactly once
   EXPECT_EQ(*flag, 1);
+}
+
+TEST(UniqueFunction, OverAlignedCaptureOnHeap) {
+  // An alignas(64) capture cannot use the inline buffer; it is built with
+  // aligned new and must be freed by the matching aligned delete (a
+  // mismatch is reported by AddressSanitizer builds).
+  struct alignas(64) wide {
+    int value;
+    std::shared_ptr<int> destroyed;
+    ~wide() {
+      if (destroyed) ++*destroyed;
+    }
+  };
+  auto destroyed = std::make_shared<int>(0);
+  int temporaries = 0;
+  {
+    unique_function<int(int)> f = [w = wide{5, destroyed}](int x) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&w) % 64, 0u);
+      return w.value + x;
+    };
+    temporaries = *destroyed;
+    EXPECT_EQ(f(1), 6);
+    unique_function<int(int)> g = std::move(f);
+    EXPECT_FALSE(static_cast<bool>(f));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(g(2), 7);
+    EXPECT_EQ(*destroyed, temporaries);
+  }
+  EXPECT_EQ(*destroyed, temporaries + 1);  // the heap target, exactly once
 }
 
 // --- timers ------------------------------------------------------------------
