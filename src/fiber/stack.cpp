@@ -104,9 +104,4 @@ std::size_t stack_pool::cached() const {
   return cache_.size();
 }
 
-stack_pool& stack_pool::global() {
-  static stack_pool pool;
-  return pool;
-}
-
 }  // namespace gran

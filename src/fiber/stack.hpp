@@ -59,9 +59,6 @@ class stack_pool {
   std::size_t stack_size() const noexcept { return stack_size_; }
   std::size_t cached() const;
 
-  // Process-wide pool used by the thread manager.
-  static stack_pool& global();
-
  private:
   const std::size_t stack_size_;
   const std::size_t max_cached_;

@@ -3,9 +3,12 @@
 // One dataflow() node is constructed per task, consuming the futures of
 // its step-1 dependence set — the generalization of the pattern
 // stencil::run_futurized uses for the heat ring (which now calls this with
-// the `nearest` spec and a partition payload). The main thread builds the
-// tree serially, step-major, while workers already execute it; an optional
-// construction window bounds live nodes exactly like
+// the `nearest` spec and a partition payload). The tree is built serially,
+// step-major, by one construction task on the pool — HPX-Stencil builds
+// its graph inside hpx_main, itself an HPX thread — while the other
+// workers already execute it. A caller outside the pool blocks until that
+// task is done; a caller already running on one of its workers builds
+// inline. An optional construction window bounds live nodes exactly like
 // stencil::params::max_steps_in_flight.
 #pragma once
 
@@ -14,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "async/async.hpp"
 #include "async/dataflow.hpp"
 #include "graph/spec.hpp"
 #include "perf/trace.hpp"
@@ -109,6 +113,19 @@ futurized_dag<T> futurize_rows(thread_manager& tm, const graph_spec& g,
   return result;
 }
 
+// Runs the construction loop `build` on a worker of `tm`. From a thread
+// outside the pool, that is one task the caller blocks on: the builder
+// then competes for the CPUs as an equal of the workers instead of
+// starving beside them, and its spawns take the worker-local path.
+template <typename T, typename Build>
+futurized_dag<T> build_on_pool(thread_manager& tm, task_priority priority,
+                               Build build) {
+  if (thread_manager::current() == &tm) return build();
+  futurized_dag<T> result;
+  async_on(tm, priority, [&result, &build] { result = build(); }).get();
+  return result;
+}
+
 }  // namespace detail
 
 // Builds and executes graph `g` on `tm`. `fn` is the task body:
@@ -118,7 +135,9 @@ futurized_dag<T> futurize_rows(thread_manager& tm, const graph_spec& g,
 //
 // where `inputs` are the ready futures of dependencies(step, point) in the
 // spec's (ascending) order — empty for roots. Every task has completed
-// when this returns; the spec should be validate()d beforehand.
+// when this returns; the spec should be validate()d beforehand. Called
+// from outside `tm`'s workers, the construction runs as one extra task on
+// `tm` (detail::build_on_pool); `result.tasks` counts graph nodes only.
 //
 // `window` > 0 bounds live dataflow rows: construction of row t waits for
 // row t-window-1 to finish (no barrier in the *execution* — the wavefront
@@ -131,8 +150,10 @@ futurized_dag<T> futurize_dag(thread_manager& tm, const graph_spec& g, Fn fn,
   // Tasks may still be running when construction finishes; they share
   // ownership of the body instead of referencing this frame.
   auto body = std::make_shared<Fn>(std::move(fn));
-  return detail::futurize_rows<T>(tm, g, std::move(body), std::vector<future<T>>{},
-                                  /*first_step=*/0, window, priority, place);
+  return detail::build_on_pool<T>(tm, priority, [&] {
+    return detail::futurize_rows<T>(tm, g, std::move(body), std::vector<future<T>>{},
+                                    /*first_step=*/0, window, priority, place);
+  });
 }
 
 // Variant with a seed row: `seed` (size == g.width) stands in for step 0 —
@@ -147,8 +168,10 @@ futurized_dag<T> futurize_dag_seeded(thread_manager& tm, const graph_spec& g,
                                      task_priority priority = task_priority::normal,
                                      placement place = placement::spawn_local) {
   auto body = std::make_shared<Fn>(std::move(fn));
-  return detail::futurize_rows<T>(tm, g, std::move(body), std::move(seed),
-                                  /*first_step=*/1, window, priority, place);
+  return detail::build_on_pool<T>(tm, priority, [&] {
+    return detail::futurize_rows<T>(tm, g, std::move(body), std::move(seed),
+                                    /*first_step=*/1, window, priority, place);
+  });
 }
 
 }  // namespace gran::graph

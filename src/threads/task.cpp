@@ -37,6 +37,32 @@ task::~task() {
                   "task destroyed while runnable");
 }
 
+void task::recycle(body_fn body, task_priority priority, const char* description) {
+  GRAN_ASSERT(state() == task_state::terminated && !fib_);
+  GRAN_ASSERT_MSG(static_cast<bool>(body), "task requires a body");
+  body_ = std::move(body);
+  id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
+  priority_ = priority;
+  description_ = description;
+  last_worker_ = -1;
+  yield_requested_ = false;
+  phases_ = 0;
+  exec_ticks_ = 0;
+  state_.store(task_state::staged, std::memory_order_relaxed);
+}
+
+void task::park() {
+  GRAN_ASSERT(state() == task_state::terminated && fib_);
+  stack_ = fib_->take_stack();
+  fib_.reset();
+  body_ = nullptr;  // release the captures now, not at the next spawn
+}
+
+fiber_stack task::take_stack() {
+  GRAN_ASSERT_MSG(!fib_, "take_stack while the context holds it (park first)");
+  return std::move(stack_);
+}
+
 void task::convert_to_pending(fiber_stack stack) {
   GRAN_ASSERT(state() == task_state::staged);
   GRAN_ASSERT(!fib_);
@@ -133,11 +159,6 @@ void task::finish() {
   const task_state prev =
       state_.exchange(task_state::terminated, std::memory_order_acq_rel);
   GRAN_ASSERT_MSG(prev == task_state::active, "finish on non-active task");
-}
-
-fiber_stack task::take_stack() {
-  GRAN_ASSERT(state() == task_state::terminated && fib_);
-  return fib_->take_stack();
 }
 
 }  // namespace gran

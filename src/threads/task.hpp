@@ -50,6 +50,11 @@ class task {
   task(const task&) = delete;
   task& operator=(const task&) = delete;
 
+  // Re-arms a retired descriptor (see park()) for a new body: a fresh id,
+  // the staged state and zeroed per-run bookkeeping. The stack it kept
+  // stays attached for the next conversion.
+  void recycle(body_fn body, task_priority priority, const char* description);
+
   std::uint64_t id() const noexcept { return id_; }
   task_priority priority() const noexcept { return priority_; }
   const char* description() const noexcept { return description_; }
@@ -97,8 +102,23 @@ class task {
 
   bool has_context() const noexcept { return fib_.has_value(); }
   fiber& context() noexcept { return *fib_; }
-  // Reclaims the stack of a terminated task for pooling.
+
+  // Tears down the finished context of a terminated task, keeping its
+  // stack, and drops the body's captures. A parked descriptor can be
+  // recycle()d: it converts on the stack it kept.
+  void park();
+  // True while a parked (or recycled, not yet converted) task holds a stack.
+  bool has_stack() const noexcept { return stack_.valid(); }
+  // Takes the stack out of a parked or recycled task, for pooling or for
+  // the next conversion.
   fiber_stack take_stack();
+
+  // Worker whose descriptor cache this task returns to when it retires;
+  // -1 for a heap descriptor spawned by a non-worker thread.
+  int home_worker() const noexcept { return home_worker_; }
+  void set_home_worker(int w) noexcept { home_worker_ = w; }
+  // Intrusive link of the descriptor caches (thread_manager::retire).
+  task* next_free = nullptr;
 
   int last_worker() const noexcept { return last_worker_; }
 
@@ -129,13 +149,15 @@ class task {
 
   body_fn body_;
   // The execution context lives inside the descriptor: converting a staged
-  // task allocates nothing (the stack comes from the pool).
+  // task allocates nothing, and a recycled one reuses its own stack.
   std::optional<fiber> fib_;
+  fiber_stack stack_;  // held while no context is built on it
   std::atomic<task_state> state_{task_state::staged};
-  const std::uint64_t id_;
+  std::uint64_t id_;
   task_priority priority_;
   const char* description_;
   thread_manager* owner_ = nullptr;
+  int home_worker_ = -1;
   int last_worker_ = -1;
   bool yield_requested_ = false;
   std::uint32_t phases_ = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <iostream>
+#include <utility>
 
 #include "perf/heartbeat.hpp"
 #include "perf/report.hpp"
@@ -134,52 +135,85 @@ thread_manager::thread_manager(scheduler_config cfg)
 
 thread_manager::~thread_manager() {
   stop();
+  // Workers are joined: every cached descriptor is idle. Free them with
+  // their stacks.
+  for (auto& wd : workers_)
+    for (task* list : {wd->free_tasks, wd->returned_tasks.load()})
+      while (list != nullptr) delete std::exchange(list, list->next_free);
   unregister_counters();
   if (default_manager() == this) set_default_manager(nullptr);
 }
 
 std::uint64_t thread_manager::spawn(task::body_fn body, task_priority priority,
                                     const char* description) {
-  GRAN_ASSERT_MSG(running_.load(std::memory_order_acquire),
-                  "spawn on a stopped thread_manager");
-  auto* t = new task(std::move(body), priority, description);
-  t->set_owner(this);
-  const std::uint64_t id = t->id();
-  tasks_alive_.fetch_add(1, std::memory_order_acq_rel);
-  const int home = tl_manager == this ? tl_worker : -1;
-  // Provenance is recorded before the enqueue so the spawn timestamp can
-  // never trail the child's first task_begin.
-  record_spawn(home, id);
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  policy_->enqueue_new(*this, home, t);
-  notify_work();
-  // Cooperation point: a spawning worker is responsive by definition, so a
-  // message-passing policy can service steal requests that piled up while
-  // the task body ran (tasking-2.0's check-for-requests-on-spawn idiom).
-  if (home >= 0) policy_->cooperate(*this, home);
-  return id;
+  return spawn_on(-1, std::move(body), priority, description);
 }
 
 std::uint64_t thread_manager::spawn_on(int worker_hint, task::body_fn body,
                                        task_priority priority,
                                        const char* description) {
-  if (worker_hint < 0 || worker_hint >= num_workers())
-    return spawn(std::move(body), priority, description);
   GRAN_ASSERT_MSG(running_.load(std::memory_order_acquire),
-                  "spawn_on a stopped thread_manager");
-  auto* t = new task(std::move(body), priority, description);
-  t->set_owner(this);
+                  "spawn on a stopped thread_manager");
+  const int self = tl_manager == this ? tl_worker : -1;
+  task* t = make_task(self, std::move(body), priority, description);
   const std::uint64_t id = t->id();
   tasks_alive_.fetch_add(1, std::memory_order_acq_rel);
-  // The spawner (for provenance) is the calling worker, not the hint's
-  // target — the hint only picks the child's home queue.
-  record_spawn(tl_manager == this ? tl_worker : -1, id);
+  // Provenance is recorded before the enqueue so the spawn timestamp can
+  // never trail the child's first task_begin. The spawner is the calling
+  // worker, not the hint's target — the hint only picks the child's home
+  // queue.
+  record_spawn(self, id);
   queued_.fetch_add(1, std::memory_order_relaxed);
-  policy_->enqueue_hinted(*this, worker_hint, t);
+  if (worker_hint >= 0 && worker_hint < num_workers())
+    policy_->enqueue_hinted(*this, worker_hint, t);
+  else
+    policy_->enqueue_new(*this, self, t);
   notify_work();
-  const int home = tl_manager == this ? tl_worker : -1;
-  if (home >= 0) policy_->cooperate(*this, home);
+  // Cooperation point: a spawning worker is responsive by definition, so a
+  // message-passing policy can service steal requests that piled up while
+  // the task body ran (tasking-2.0's check-for-requests-on-spawn idiom).
+  if (self >= 0) policy_->cooperate(*this, self);
   return id;
+}
+
+task* thread_manager::make_task(int w, task::body_fn body, task_priority priority,
+                                const char* description) {
+  if (w >= 0) {
+    worker_data& me = worker(w);
+    if (me.free_tasks == nullptr &&
+        me.returned_tasks.load(std::memory_order_relaxed) != nullptr) {
+      // The local list ran dry: take back everything other workers
+      // retired, keeping at most the cap.
+      task* list = me.returned_tasks.exchange(nullptr, std::memory_order_acquire);
+      while (list != nullptr) cache_task(me, std::exchange(list, list->next_free));
+    }
+    if (task* const t = me.free_tasks) {
+      me.free_tasks = t->next_free;
+      --me.free_count;
+      t->recycle(std::move(body), priority, description);
+      return t;
+    }
+  }
+  // Cold path: a non-worker spawner, or a worker whose cache is empty.
+  auto* t = new task(std::move(body), priority, description);
+  t->set_owner(this);
+  t->set_home_worker(w);
+  return t;
+}
+
+void thread_manager::cache_task(worker_data& me, task* t) {
+  if (me.free_count == task_cache_capacity) {
+    free_task(t);
+    return;
+  }
+  t->next_free = me.free_tasks;
+  me.free_tasks = t;
+  ++me.free_count;
+}
+
+void thread_manager::free_task(task* t) {
+  stacks_.release(t->take_stack());
+  delete t;
 }
 
 void thread_manager::record_spawn(int spawner, std::uint64_t id) noexcept {
@@ -254,15 +288,32 @@ void thread_manager::schedule_ready(task* t) {
 }
 
 void thread_manager::convert(task* t) {
-  t->convert_to_pending(stacks_.acquire());
+  t->convert_to_pending(t->has_stack() ? t->take_stack() : stacks_.acquire());
+  // Policies without a staged stage convert at enqueue, which may run on a
+  // non-worker spawner; worker 0's cell counts those.
   const int w = tl_manager == this ? tl_worker : 0;
-  if (w >= 0)
-    worker(w).counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
+  worker(w).counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
 }
 
 void thread_manager::retire(task* t) {
-  stacks_.release(t->take_stack());
-  delete t;
+  GRAN_DEBUG_ASSERT(tl_manager == this && tl_worker >= 0);
+  t->park();
+  const int home = t->home_worker();
+  if (home < 0) {
+    free_task(t);
+  } else if (home == tl_worker) {
+    cache_task(worker(home), t);
+  } else {
+    // Another worker's descriptor: hand it back to its owner. Only the
+    // owner ever removes entries, and only all at once, so a plain
+    // push-only Treiber stack has no ABA hazard.
+    std::atomic<task*>& head = worker(home).returned_tasks;
+    task* old = head.load(std::memory_order_relaxed);
+    do {
+      t->next_free = old;
+    } while (!head.compare_exchange_weak(old, t, std::memory_order_release,
+                                         std::memory_order_relaxed));
+  }
   tasks_alive_.fetch_sub(1, std::memory_order_acq_rel);
 }
 

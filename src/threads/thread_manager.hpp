@@ -80,9 +80,14 @@ class thread_manager {
   // Re-queues a pending task (used internally and by tests).
   void schedule_ready(task* t);
 
-  // Attaches a context to a staged task (stack from this manager's pool).
+  // Attaches a context to a staged task: on the stack a recycled
+  // descriptor kept, else on one from this manager's pool.
   void convert(task* t);
-  // Returns a terminated task's stack to the pool and deletes the task.
+  // Disposes of a terminated task on the worker that ran its last phase:
+  // the descriptor, stack kept, goes back to the cache of the worker that
+  // spawned it (see make_task); a heap descriptor from a non-worker
+  // spawner, or one over the cache's cap, returns its stack to the pool
+  // and is deleted.
   void retire(task* t);
 
   // --- lifecycle ----------------------------------------------------------
@@ -247,8 +252,23 @@ class thread_manager {
   // yield re-queueing, and suspension finalization.
   void run_phase(int w, task* t);
 
-  // Spawn bookkeeping shared by spawn/spawn_on: bumps the spawned counter
-  // and emits the task_enqueue provenance event. `spawner` is the calling
+  // Descriptors a worker keeps for reuse, each with its fiber stack. Small:
+  // enough to cover a burst of spawns between drains of the return list.
+  static constexpr std::uint32_t task_cache_capacity = 64;
+
+  // A staged task for `body`. Worker `w` (the caller) takes a descriptor
+  // from its own cache, refilled from its return list when dry; a
+  // non-worker spawner (w == -1) or an empty cache falls back to new.
+  task* make_task(int w, task::body_fn body, task_priority priority,
+                  const char* description);
+  // Pushes a parked descriptor onto worker `me`'s local cache (the caller
+  // is that worker), or frees it when the cache is full.
+  void cache_task(worker_data& me, task* t);
+  // Returns a descriptor's stack to the pool and deletes it.
+  void free_task(task* t);
+
+  // Spawn bookkeeping of spawn_on: bumps the spawned counter and emits the
+  // task_enqueue provenance event. `spawner` is the calling
   // worker's index, or -1 for a non-worker thread (external lane).
   void record_spawn(int spawner, std::uint64_t id) noexcept;
 

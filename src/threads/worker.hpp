@@ -148,7 +148,16 @@ struct worker_data {
   // capacity. Not owned. Stamped from the scheduler loop and run_phase.
   perf::heartbeat_slot* heartbeat = nullptr;
 
-  int index = -1;
+  // Recycled task descriptors this worker owns (thread_manager::retire).
+  // The local list is touched only by this worker. Descriptors it spawned
+  // that retire on another worker come back through `returned_tasks`, a
+  // lock-free multi-producer stack this worker takes whole with one
+  // exchange once the local list runs dry. Own line: other workers push.
+  task* free_tasks = nullptr;
+  std::uint32_t free_count = 0;
+  alignas(cache_line_size) std::atomic<task*> returned_tasks{nullptr};
+
+  alignas(cache_line_size) int index = -1;
   // Dense NUMA/locality domain from the pin plan (or the even spread when
   // unpinned); the policies' same-domain steal tier keys off this.
   int numa_node = 0;

@@ -510,11 +510,29 @@ TEST_F(AnalysisTest, TrivialPatternCriticalPathApproxMaxDuration) {
   const auto r = perf::analyze_trace(run.dump);
   ASSERT_TRUE(r.ok) << r.error;
 
-  double max_exec = 0;
-  for (const auto& t : r.tasks) max_exec = std::max(max_exec, t.exec_ns);
-  // All roots, no edges: the longest chain is exactly the longest task
-  // (external spawns carry no parent credit).
-  EXPECT_NEAR(r.critical_path_ns, max_exec, max_exec * 1e-6);
+  // All roots, no edges between them. The graph is built by one
+  // construction task on the pool — the only task without a graph node —
+  // and it spawns every root from its first phase, so each root's chain is
+  // the builder's work up to that spawn plus the root's own exec. The
+  // longest chain is exactly the longest of these and the builder's own.
+  const perf::task_record* builder = nullptr;
+  for (const auto& t : r.tasks) {
+    if (t.has_graph_node) continue;
+    ASSERT_EQ(builder, nullptr) << "more than one task without a graph node";
+    builder = &t;
+  }
+  ASSERT_NE(builder, nullptr);
+  double longest = builder->exec_ns;
+  for (const auto& t : r.tasks) {
+    if (!t.has_graph_node) continue;
+    EXPECT_TRUE(t.has_parent);
+    EXPECT_EQ(t.parent_id, builder->id);
+    const double spawn_ns =
+        static_cast<double>(t.enqueue_ticks - builder->first_begin_ticks) * r.ns_per_tick;
+    longest = std::max(longest, spawn_ns + t.exec_ns);
+  }
+  EXPECT_NEAR(r.critical_path_ns, longest, longest * 1e-6);
+  EXPECT_LE(r.critical_chain.size(), 2u);
   EXPECT_LE(r.critical_path_ns, r.wall_ns);
 }
 
@@ -548,8 +566,9 @@ TEST_F(AnalysisTest, Eq1RecomputeWithinCountersOnGraphRun) {
   EXPECT_NEAR(r.idle_rate, c_idle, 0.05);
   EXPECT_NEAR(r.task_duration_ns, c_td, 0.05 * c_td);
 
-  // Every task ran and completed in the trace.
-  EXPECT_EQ(r.tasks_completed, run.stats.tasks);
+  // Every task ran and completed in the trace: the graph's nodes plus the
+  // one construction task run_graph adds when called from outside the pool.
+  EXPECT_EQ(r.tasks_completed, run.stats.tasks + 1);
 
   // Critical-path sanity on a parallel pattern: bounded by wall, and at
   // least the longest single task.
@@ -575,7 +594,9 @@ TEST_F(AnalysisTest, SpawnedCounterMatchesEnqueueEvents) {
   // record_spawn bumps the counter and emits the event from the same call,
   // so with no ring drops they must agree exactly.
   EXPECT_EQ(enqueues, run.totals.tasks_spawned);
-  EXPECT_EQ(run.totals.tasks_spawned, run.stats.tasks);
+  // The graph's nodes plus the construction task (an external caller's
+  // graph is built by one task on the pool).
+  EXPECT_EQ(run.totals.tasks_spawned, run.stats.tasks + 1);
 
   // Graph-node provenance reached the analyzer for every task.
   const auto r = perf::analyze_trace(run.dump);

@@ -187,9 +187,41 @@ TEST(Futurized, TaskCountMatchesFormula) {
   run_futurized(tm, p);
   tm.wait_idle();  // drain the final tasks' accounting
   const auto totals = tm.counter_totals();
-  EXPECT_EQ(totals.tasks_executed, p.num_tasks());
+  // + 1: called from outside the pool, the graph is built by one
+  // construction task on it (graph::futurize_dag_seeded).
+  EXPECT_EQ(totals.tasks_executed, p.num_tasks() + 1);
 }
 
+
+TEST(Futurized, ConstructionRunsAsOneTaskOnThePool) {
+  // From outside the pool, each solve's graph is built by one construction
+  // task on it; from inside a task, the calling task builds it inline.
+  // Two solves tell the cases apart: 2 construction tasks outside, none
+  // inside (the one extra task there is the caller itself).
+  params p;
+  p.total_points = 5'000;
+  p.partition_size = 250;
+  p.time_steps = 8;
+  const auto serial = run_serial(p);
+  thread_manager tm(test_config(2));
+
+  tm.reset_counters();
+  EXPECT_EQ(run_futurized(tm, p).state, serial);
+  EXPECT_EQ(run_futurized(tm, p).state, serial);
+  tm.wait_idle();
+  EXPECT_EQ(tm.counter_totals().tasks_executed, 2 * p.num_tasks() + 2);
+
+  tm.reset_counters();
+  std::vector<double> first, second;
+  tm.spawn([&] {
+    first = run_futurized(tm, p).state;
+    second = run_futurized(tm, p).state;
+  });
+  tm.wait_idle();
+  EXPECT_EQ(tm.counter_totals().tasks_executed, 2 * p.num_tasks() + 1);
+  EXPECT_EQ(first, serial);
+  EXPECT_EQ(second, serial);
+}
 
 TEST(Futurized, WindowedConstructionMatchesUnbounded) {
   // max_steps_in_flight bounds memory but must not change results.
@@ -220,7 +252,8 @@ TEST(Futurized, WindowedConstructionRunsAllTasks) {
   tm.reset_counters();
   run_futurized(tm, p);
   tm.wait_idle();
-  EXPECT_EQ(tm.counter_totals().tasks_executed, p.num_tasks());
+  // + 1: the construction task, which also waits out the window.
+  EXPECT_EQ(tm.counter_totals().tasks_executed, p.num_tasks() + 1);
 }
 
 TEST(Futurized, LinearProfileFixedInterior) {

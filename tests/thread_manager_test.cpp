@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "perf/heartbeat.hpp"
 #include "sync/latch.hpp"
@@ -23,6 +24,26 @@ scheduler_config test_config(int workers, const std::string& policy = "priority-
   cfg.pin_workers = false;  // the CI host is oversubscribed
   return cfg;
 }
+
+// Occupies a worker with a spinning task until release(), so that tasks
+// spawned meanwhile are all queued before any of them runs. The task spins
+// rather than waiting on a primitive: a suspended task frees its worker.
+// The caller must wait for the pool to drain before this object dies.
+class worker_hold {
+ public:
+  explicit worker_hold(thread_manager& tm) {
+    tm.spawn([this] {
+      holding_ = true;
+      while (!released_.load()) std::this_thread::yield();
+    });
+    while (!holding_.load()) std::this_thread::yield();
+  }
+  void release() { released_ = true; }
+
+ private:
+  std::atomic<bool> holding_{false};
+  std::atomic<bool> released_{false};
+};
 
 TEST(ThreadManager, RunsSpawnedTasks) {
   thread_manager tm(test_config(2));
@@ -78,7 +99,11 @@ TEST(ThreadManager, SuspendAndExternalWake) {
   });
   while (self.load() == nullptr) {
   }
-  tm.wake(self.load());  // protocol handles any interleaving
+  // A bare suspend() has no wait condition to re-check, so a wake that
+  // arrives before it finds nothing asleep and is dropped. Wake only once
+  // the task is parked.
+  while (self.load()->state() != task_state::suspended) std::this_thread::yield();
+  tm.wake(self.load());
   tm.wait_idle();
   EXPECT_TRUE(resumed.load());
 }
@@ -136,6 +161,9 @@ TEST(ThreadManager, LowPriorityRunsLast) {
   thread_manager tm(test_config(1));
   std::vector<int> order;
   gran::latch done(3);
+  // Hold the single worker until all three tasks are queued, so the order
+  // below is the scheduler's choice, not the order of arrival.
+  worker_hold hold(tm);
   tm.spawn(
       [&] {
         order.push_back(0);  // low
@@ -154,6 +182,7 @@ TEST(ThreadManager, LowPriorityRunsLast) {
         done.count_down();
       },
       task_priority::normal);
+  hold.release();
   done.wait();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order.back(), 0) << "low-priority task must run after normal ones";
@@ -181,6 +210,7 @@ TEST_P(PolicyParam, SuspendWakeUnderEachPolicy) {
   });
   while (!self.load()) {
   }
+  while (self.load()->state() != task_state::suspended) std::this_thread::yield();
   tm.wake(self.load());
   tm.wait_idle();
   EXPECT_TRUE(resumed.load());
@@ -212,6 +242,8 @@ TEST(ThreadManager, ResetCountersZeroes) {
   thread_manager tm(test_config(2));
   for (int i = 0; i < 50; ++i) tm.spawn([] {});
   tm.wait_idle();
+  // Stopped workers no longer poll, so nothing counts after the reset.
+  tm.stop();
   tm.reset_counters();
   const auto totals = tm.counter_totals();
   EXPECT_EQ(totals.tasks_executed, 0u);
@@ -372,13 +404,9 @@ TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
   // priority task. The high-priority dual queue is searched first, so the
   // high task must run before the queued normal ones.
   thread_manager tm(test_config(1));
-  gran::latch gate_open(1);
   gran::latch all_done(4);
   std::vector<int> order;
-  tm.spawn([&] {
-    gate_open.wait();  // hold the single worker until everything is queued
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  worker_hold hold(tm);  // until everything is queued
   for (int i = 0; i < 3; ++i)
     tm.spawn(
         [&order, &all_done, i] {
@@ -392,7 +420,7 @@ TEST(ThreadManager, HighPriorityRunsBeforeQueuedNormal) {
         all_done.count_down();
       },
       task_priority::high);
-  gate_open.count_down();
+  hold.release();
   all_done.wait();
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order.front(), 100) << "high-priority task must run first";
@@ -418,16 +446,14 @@ TEST(ThreadManager, GranWorkersEnvDefault) {
 TEST(ThreadManager, InstantaneousQueueGauges) {
   thread_manager tm(test_config(1));
   auto& reg = perf::registry::instance();
-  // Block the single worker, then queue work and observe the gauges.
-  gran::latch gate(1);
-  tm.spawn([&gate] { gate.wait(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Hold the single worker, then queue work and observe the gauges.
+  worker_hold hold(tm);
   for (int i = 0; i < 10; ++i) tm.spawn([] {});
   const double queued =
       reg.value_or("/threads/count/instantaneous/pending", 0) +
       reg.value_or("/threads/count/instantaneous/staged", 0);
   EXPECT_GE(queued, 10.0);
-  gate.count_down();
+  hold.release();
   tm.wait_idle();
   EXPECT_EQ(reg.value_or("/threads/count/instantaneous/alive", -1), 0.0);
 }
@@ -483,6 +509,50 @@ TEST(ThreadManager, SpawnMoveOnlyBody) {
   tm.spawn([p = std::move(payload), &seen] { seen = *p; });
   tm.wait_idle();
   EXPECT_EQ(seen.load(), 17);
+}
+
+TEST(ThreadManager, RecycledDescriptorsCrossWorkers) {
+  // Task descriptors (each with its stack) are recycled to the worker that
+  // spawned them. Here one spawner task sends every child to a hinted
+  // worker, so most retire away from their owner and travel back through
+  // its return list; every fourth child also suspends on a latch and
+  // resumes wherever the last count_down lands. Each round reuses the
+  // descriptors the previous rounds returned. Leftovers in the caches are
+  // freed with the manager (the ASan build checks that).
+  thread_manager tm(test_config(4));
+  constexpr int rounds = 30;
+  constexpr int per_round = 400;
+  std::vector<std::atomic<int>> runs(static_cast<std::size_t>(rounds * per_round));
+  std::atomic<int> rounds_done{0};
+  tm.spawn([&] {
+    for (int r = 0; r < rounds; ++r) {
+      latch gate(per_round - per_round / 4);  // the non-waiting children
+      latch done(per_round);
+      for (int i = 0; i < per_round; ++i) {
+        std::atomic<int>& slot = runs[static_cast<std::size_t>(r * per_round + i)];
+        if (i % 4 == 0) {
+          tm.spawn_on(i % tm.num_workers(), [&] {
+            gate.wait();
+            slot.fetch_add(1, std::memory_order_relaxed);
+            done.count_down();
+          });
+        } else {
+          tm.spawn_on(i % tm.num_workers(), [&] {
+            slot.fetch_add(1, std::memory_order_relaxed);
+            gate.count_down();
+            done.count_down();
+          });
+        }
+      }
+      done.wait();
+      rounds_done.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  tm.wait_idle();
+  EXPECT_EQ(rounds_done.load(), rounds);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    ASSERT_EQ(runs[i].load(), 1) << "child " << i;
+  EXPECT_EQ(tm.tasks_alive(), 0u);
 }
 
 TEST(ThreadManager, StressManySmallTasks) {
