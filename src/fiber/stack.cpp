@@ -89,7 +89,9 @@ fiber_stack stack_pool::acquire() {
       return s;
     }
   }
-  return fiber_stack(stack_size_);
+  fiber_stack fresh(stack_size_);
+  mapped_.fetch_add(1, std::memory_order_relaxed);
+  return fresh;
 }
 
 void stack_pool::release(fiber_stack stack) {

@@ -5,7 +5,9 @@
 // paper's idle-rate numbers imply).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -58,10 +60,15 @@ class stack_pool {
 
   std::size_t stack_size() const noexcept { return stack_size_; }
   std::size_t cached() const;
+  // Fresh stacks acquire() has mapped over the pool's lifetime.
+  std::uint64_t mapped() const noexcept {
+    return mapped_.load(std::memory_order_relaxed);
+  }
 
  private:
   const std::size_t stack_size_;
   const std::size_t max_cached_;
+  std::atomic<std::uint64_t> mapped_{0};
   mutable std::mutex mutex_;
   std::vector<fiber_stack> cache_;
 };

@@ -42,8 +42,15 @@ void priority_local_policy::enqueue_new(thread_manager& tm, int home, task* t) {
 
 void priority_local_policy::enqueue_hinted(thread_manager& tm, int target, task* t) {
   // Staged queues are MPMC-safe dual queues, so a placement hint is just an
-  // enqueue_new with `home` forced to the target worker (normal priority;
-  // high/low keep their dedicated routing inside enqueue_new).
+  // enqueue_new with `home` forced to the target worker. A high-priority
+  // task goes to the target's high-priority queue when it owns one, so
+  // hints to distinct workers spread; otherwise high and low keep their
+  // dedicated routing inside enqueue_new.
+  worker_data& wd = tm.worker(target);
+  if (t->priority() == task_priority::high && wd.owns_high_queue) {
+    wd.high_queue.push_staged(t);
+    return;
+  }
   enqueue_new(tm, target, t);
 }
 

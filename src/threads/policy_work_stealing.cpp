@@ -40,31 +40,27 @@ void work_stealing_policy::init(thread_manager& tm) {
   }
 }
 
-void work_stealing_policy::push_remote(thread_manager& tm, int target, task* t) {
-  // This policy has no staged stage: attach the context right away.
-  if (!t->has_context()) tm.convert(t);
+void work_stealing_policy::push_remote(int target, task* t) {
   deques_[static_cast<std::size_t>(target)]->inbox.push(t);
 }
 
-void work_stealing_policy::enqueue_new(thread_manager& tm, int home, task* t) {
+void work_stealing_policy::enqueue_new(thread_manager& /*tm*/, int home, task* t) {
   if (home >= 0) {
     // `home` is by contract the calling worker — the only thread allowed to
     // push the bottom of its Chase–Lev deque.
     GRAN_DEBUG_ASSERT(home == thread_manager::current_worker());
-    if (!t->has_context()) tm.convert(t);
     deques_[static_cast<std::size_t>(home)]->deque.push(t);
     return;
   }
   const int target =
       static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
                        static_cast<std::uint64_t>(num_workers_));
-  push_remote(tm, target, t);
+  push_remote(target, t);
 }
 
-void work_stealing_policy::enqueue_ready(thread_manager& tm, int home, task* t) {
+void work_stealing_policy::enqueue_ready(thread_manager& /*tm*/, int home, task* t) {
   if (home >= 0) {
     GRAN_DEBUG_ASSERT(home == thread_manager::current_worker());
-    if (!t->has_context()) tm.convert(t);
     deques_[static_cast<std::size_t>(home)]->deque.push(t);
     return;
   }
@@ -74,19 +70,26 @@ void work_stealing_policy::enqueue_ready(thread_manager& tm, int home, task* t) 
   if (target < 0 || target >= num_workers_)
     target = static_cast<int>(rr_.fetch_add(1, std::memory_order_relaxed) %
                               static_cast<std::uint64_t>(num_workers_));
-  push_remote(tm, target, t);
+  push_remote(target, t);
 }
 
-void work_stealing_policy::enqueue_hinted(thread_manager& tm, int target, task* t) {
+void work_stealing_policy::enqueue_hinted(thread_manager& /*tm*/, int target, task* t) {
   if (target == thread_manager::current_worker()) {
-    if (!t->has_context()) tm.convert(t);
     deques_[static_cast<std::size_t>(target)]->deque.push(t);
     return;
   }
-  push_remote(tm, target, t);
+  push_remote(target, t);
 }
 
 task* work_stealing_policy::get_next(thread_manager& tm, int w) {
+  // Spawned tasks travel staged; the worker that takes one converts it, so
+  // the stack comes from the cache of the core about to run it.
+  task* t = find_next(tm, w);
+  if (t != nullptr && !t->has_context()) tm.convert(t);
+  return t;
+}
+
+task* work_stealing_policy::find_next(thread_manager& tm, int w) {
   worker_counters& c = tm.worker(w).counters;
   deque_slot& mine = *deques_[static_cast<std::size_t>(w)];
 
@@ -160,10 +163,7 @@ task* work_stealing_policy::get_next(thread_manager& tm, int w) {
 
   // Low-priority work last, as in every policy.
   if (auto t = tm.low_priority_queue().pop_pending()) return *t;
-  if (auto d = tm.low_priority_queue().pop_staged()) {
-    tm.convert(*d);
-    return *d;
-  }
+  if (auto d = tm.low_priority_queue().pop_staged()) return *d;
   return nullptr;
 }
 

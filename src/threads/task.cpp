@@ -51,16 +51,12 @@ void task::recycle(body_fn body, task_priority priority, const char* description
   state_.store(task_state::staged, std::memory_order_relaxed);
 }
 
-void task::park() {
+fiber_stack task::park() {
   GRAN_ASSERT(state() == task_state::terminated && fib_);
-  stack_ = fib_->take_stack();
+  fiber_stack stack = fib_->take_stack();
   fib_.reset();
   body_ = nullptr;  // release the captures now, not at the next spawn
-}
-
-fiber_stack task::take_stack() {
-  GRAN_ASSERT_MSG(!fib_, "take_stack while the context holds it (park first)");
-  return std::move(stack_);
+  return stack;
 }
 
 void task::convert_to_pending(fiber_stack stack) {

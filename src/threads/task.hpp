@@ -51,8 +51,8 @@ class task {
   task& operator=(const task&) = delete;
 
   // Re-arms a retired descriptor (see park()) for a new body: a fresh id,
-  // the staged state and zeroed per-run bookkeeping. The stack it kept
-  // stays attached for the next conversion.
+  // the staged state and zeroed per-run bookkeeping. Like a new task it
+  // holds no stack until it is converted.
   void recycle(body_fn body, task_priority priority, const char* description);
 
   std::uint64_t id() const noexcept { return id_; }
@@ -62,8 +62,9 @@ class task {
 
   // --- transitions (asserted; each is performed by exactly one thread) ---
 
-  // staged -> pending, attaching an execution context. Called by the worker
-  // that converts the description (possibly after moving it across domains).
+  // staged -> pending, attaching an execution context on `stack`. Called by
+  // the worker that is about to run the task (possibly after moving it
+  // across domains).
   void convert_to_pending(fiber_stack stack);
 
   // pending -> active, performed by the executing worker.
@@ -103,15 +104,10 @@ class task {
   bool has_context() const noexcept { return fib_.has_value(); }
   fiber& context() noexcept { return *fib_; }
 
-  // Tears down the finished context of a terminated task, keeping its
-  // stack, and drops the body's captures. A parked descriptor can be
-  // recycle()d: it converts on the stack it kept.
-  void park();
-  // True while a parked (or recycled, not yet converted) task holds a stack.
-  bool has_stack() const noexcept { return stack_.valid(); }
-  // Takes the stack out of a parked or recycled task, for pooling or for
-  // the next conversion.
-  fiber_stack take_stack();
+  // Tears down the finished context of a terminated task, drops the body's
+  // captures and hands back the stack it ran on. The parked descriptor
+  // holds no stack and can be recycle()d.
+  fiber_stack park();
 
   // Worker whose descriptor cache this task returns to when it retires;
   // -1 for a heap descriptor spawned by a non-worker thread.
@@ -148,10 +144,9 @@ class task {
   static std::atomic<std::uint64_t> next_id_;
 
   body_fn body_;
-  // The execution context lives inside the descriptor: converting a staged
-  // task allocates nothing, and a recycled one reuses its own stack.
+  // The execution context lives inside the descriptor, so converting a
+  // staged task allocates nothing; only the stack comes from outside.
   std::optional<fiber> fib_;
-  fiber_stack stack_;  // held while no context is built on it
   std::atomic<task_state> state_{task_state::staged};
   std::uint64_t id_;
   task_priority priority_;

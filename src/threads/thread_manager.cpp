@@ -84,6 +84,7 @@ thread_manager::thread_manager(scheduler_config cfg)
     wd->core = a.core;
     wd->cpu = a.cpu;
     wd->owns_high_queue = w < high_queues;
+    wd->free_stacks.reserve(stack_cache_capacity);
     workers_by_node_[static_cast<std::size_t>(wd->numa_node)].push_back(w);
     workers_.push_back(std::move(wd));
   }
@@ -135,8 +136,8 @@ thread_manager::thread_manager(scheduler_config cfg)
 
 thread_manager::~thread_manager() {
   stop();
-  // Workers are joined: every cached descriptor is idle. Free them with
-  // their stacks.
+  // Workers are joined: every cached descriptor is idle. Free them; the
+  // stack caches unmap with the workers.
   for (auto& wd : workers_)
     for (task* list : {wd->free_tasks, wd->returned_tasks.load()})
       while (list != nullptr) delete std::exchange(list, list->next_free);
@@ -203,17 +204,12 @@ task* thread_manager::make_task(int w, task::body_fn body, task_priority priorit
 
 void thread_manager::cache_task(worker_data& me, task* t) {
   if (me.free_count == task_cache_capacity) {
-    free_task(t);
+    delete t;
     return;
   }
   t->next_free = me.free_tasks;
   me.free_tasks = t;
   ++me.free_count;
-}
-
-void thread_manager::free_task(task* t) {
-  stacks_.release(t->take_stack());
-  delete t;
 }
 
 void thread_manager::record_spawn(int spawner, std::uint64_t id) noexcept {
@@ -288,21 +284,29 @@ void thread_manager::schedule_ready(task* t) {
 }
 
 void thread_manager::convert(task* t) {
-  t->convert_to_pending(t->has_stack() ? t->take_stack() : stacks_.acquire());
-  // Policies without a staged stage convert at enqueue, which may run on a
-  // non-worker spawner; worker 0's cell counts those.
-  const int w = tl_manager == this ? tl_worker : 0;
-  worker(w).counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
+  GRAN_DEBUG_ASSERT(tl_manager == this && tl_worker >= 0);
+  worker_data& me = worker(tl_worker);
+  if (me.free_stacks.empty()) {
+    t->convert_to_pending(stacks_.acquire());
+  } else {
+    t->convert_to_pending(std::move(me.free_stacks.back()));
+    me.free_stacks.pop_back();
+  }
+  me.counters.tasks_converted.fetch_add(1, std::memory_order_relaxed);
 }
 
 void thread_manager::retire(task* t) {
   GRAN_DEBUG_ASSERT(tl_manager == this && tl_worker >= 0);
-  t->park();
+  worker_data& me = worker(tl_worker);
+  if (me.free_stacks.size() < stack_cache_capacity)
+    me.free_stacks.push_back(t->park());
+  else
+    stacks_.release(t->park());
   const int home = t->home_worker();
   if (home < 0) {
-    free_task(t);
+    delete t;
   } else if (home == tl_worker) {
-    cache_task(worker(home), t);
+    cache_task(me, t);
   } else {
     // Another worker's descriptor: hand it back to its owner. Only the
     // owner ever removes entries, and only all at once, so a plain
@@ -794,6 +798,10 @@ void thread_manager::register_counters() {
   reg.add("/threads/count/converted", counter_kind::monotonic,
           "staged->pending conversions",
           [tot] { return static_cast<double>(tot().tasks_converted); });
+  reg.add("/threads/count/stacks-mapped", counter_kind::monotonic,
+          "fiber stacks this manager mapped (lifetime total; not cleared by "
+          "reset_counters)",
+          [this] { return static_cast<double>(stacks_mapped()); });
   reg.add("/threads/count/spawned", counter_kind::monotonic,
           "tasks created via spawn/spawn_on (worker + external threads); "
           "cross-checks the trace's task_enqueue event count",
@@ -1056,6 +1064,11 @@ void thread_manager::register_counters() {
             "tasks this worker stole from a different NUMA domain", [wd] {
               return static_cast<double>(wd->counters.tasks_stolen_remote.load(
                   std::memory_order_relaxed));
+            });
+    reg.add(inst + "/count/converted", counter_kind::monotonic,
+            "staged->pending conversions on this worker", [wd] {
+              return static_cast<double>(
+                  wd->counters.tasks_converted.load(std::memory_order_relaxed));
             });
     for (const double p : {50.0, 95.0, 99.0}) {
       const std::string tag = "p" + std::to_string(static_cast<int>(p));

@@ -80,14 +80,15 @@ class thread_manager {
   // Re-queues a pending task (used internally and by tests).
   void schedule_ready(task* t);
 
-  // Attaches a context to a staged task: on the stack a recycled
-  // descriptor kept, else on one from this manager's pool.
+  // Attaches a context to a staged task. Called only by the worker that is
+  // about to run it, which takes the stack from its own cache, else from
+  // this manager's pool, else maps a fresh one.
   void convert(task* t);
   // Disposes of a terminated task on the worker that ran its last phase:
-  // the descriptor, stack kept, goes back to the cache of the worker that
-  // spawned it (see make_task); a heap descriptor from a non-worker
-  // spawner, or one over the cache's cap, returns its stack to the pool
-  // and is deleted.
+  // its stack goes onto this worker's stack cache (the pool past the cap),
+  // and the descriptor goes back to the cache of the worker that spawned
+  // it (see make_task); a heap descriptor from a non-worker spawner, or one
+  // over that cache's cap, is deleted.
   void retire(task* t);
 
   // --- lifecycle ----------------------------------------------------------
@@ -113,6 +114,9 @@ class thread_manager {
   std::uint64_t pins_rejected() const noexcept {
     return pins_rejected_.load(std::memory_order_relaxed);
   }
+  // Fiber stacks this manager has mapped; counts since construction, not
+  // cleared by reset_counters(). Flat once the pool is warm.
+  std::uint64_t stacks_mapped() const noexcept { return stacks_.mapped(); }
 
   // Topology distance from `thief` to `victim`: 0 = SMT siblings (same
   // physical core), 1 = same NUMA/locality domain, 2 = remote domain.
@@ -252,9 +256,14 @@ class thread_manager {
   // yield re-queueing, and suspension finalization.
   void run_phase(int w, task* t);
 
-  // Descriptors a worker keeps for reuse, each with its fiber stack. Small:
-  // enough to cover a burst of spawns between drains of the return list.
+  // Descriptors a worker keeps for reuse. Small: enough to cover a burst
+  // of spawns between drains of the return list.
   static constexpr std::uint32_t task_cache_capacity = 64;
+  // Stacks a worker keeps for reuse. A stack is busy only while its task
+  // runs or is suspended, so a worker needs one per task it has in flight;
+  // the cap bounds what tasks that suspend on one worker and finish on
+  // another can pile up there.
+  static constexpr std::size_t stack_cache_capacity = 64;
 
   // A staged task for `body`. Worker `w` (the caller) takes a descriptor
   // from its own cache, refilled from its return list when dry; a
@@ -262,10 +271,8 @@ class thread_manager {
   task* make_task(int w, task::body_fn body, task_priority priority,
                   const char* description);
   // Pushes a parked descriptor onto worker `me`'s local cache (the caller
-  // is that worker), or frees it when the cache is full.
+  // is that worker), or deletes it when the cache is full.
   void cache_task(worker_data& me, task* t);
-  // Returns a descriptor's stack to the pool and deletes it.
-  void free_task(task* t);
 
   // Spawn bookkeeping of spawn_on: bumps the spawned counter and emits the
   // task_enqueue provenance event. `spawner` is the calling

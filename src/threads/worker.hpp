@@ -6,7 +6,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "fiber/stack.hpp"
 #include "perf/heartbeat.hpp"
 #include "perf/histogram.hpp"
 #include "perf/pmu.hpp"
@@ -155,6 +157,10 @@ struct worker_data {
   // exchange once the local list runs dry. Own line: other workers push.
   task* free_tasks = nullptr;
   std::uint32_t free_count = 0;
+  // Fiber stacks of tasks that retired on this worker, reused LIFO (the
+  // last one is still hot in this core's cache) by the next conversion
+  // here. Touched only by this worker; reserved to its cap at start-up.
+  std::vector<fiber_stack> free_stacks;
   alignas(cache_line_size) std::atomic<task*> returned_tasks{nullptr};
 
   alignas(cache_line_size) int index = -1;

@@ -16,6 +16,7 @@
 #include "sim/graph_sim.hpp"
 #include "sim/machine_model.hpp"
 #include "threads/thread_manager.hpp"
+#include "util/rng.hpp"
 
 namespace gran {
 namespace {
@@ -191,6 +192,57 @@ TEST(GraphExecutors, NativeChecksumIsSchedulingInvariant) {
       expected = stats.checksum;
     else
       EXPECT_EQ(stats.checksum, expected) << "workers=" << workers;
+  }
+}
+
+// --- wide rows: built in parallel slices (graph/futurize.hpp) --------------
+
+// The checksum graph::run_graph folds, evaluated serially from the spec.
+// The graph simulator models timing and carries no values, so this serial
+// evaluation is the reference the native runs are held to.
+std::uint64_t reference_checksum(const graph::graph_spec& g, const graph::kernel_spec& k) {
+  std::vector<std::uint64_t> prev, cur(g.width);
+  std::vector<std::uint32_t> d;
+  for (std::uint32_t t = 0; t < g.steps; ++t) {
+    for (std::uint32_t p = 0; p < g.width; ++p) {
+      g.dependencies(t, p, d);
+      std::uint64_t acc = mix64_combine(t, p);
+      for (const std::uint32_t i : d) acc = mix64_combine(acc, prev[i]);
+      cur[p] = mix64_combine(acc, graph::run_kernel(k, t, p));
+    }
+    prev.swap(cur);
+    cur.assign(g.width, 0);
+  }
+  std::uint64_t checksum = 0;
+  for (const std::uint64_t v : prev) checksum = mix64_combine(checksum, v);
+  return checksum;
+}
+
+TEST(GraphExecutors, WideRowsMatchReferenceAndSim) {
+  // 1024-wide rows split into 4 slices on 4 workers; every pattern, with
+  // and without a construction window, must build the spec's DAG exactly
+  // (the simulator's task and edge counts) and compute its values.
+  graph::kernel_spec k;
+  k.grain_ns = 100.0;
+  sim::graph_sim_backend sim_backend(sim::haswell_model());
+  scheduler_config cfg;
+  cfg.num_workers = 4;
+  cfg.pin_workers = false;
+  thread_manager tm(cfg);
+
+  for (const graph::pattern kind : graph::all_patterns) {
+    const graph::graph_spec g = make_spec(kind, 1024, 6);
+    ASSERT_TRUE(g.validate().empty()) << g.describe();
+    const std::uint64_t expected = reference_checksum(g, k);
+    const core::graph_run_result s = sim_backend.run(g, k, 4);
+    EXPECT_EQ(s.tasks, g.total_tasks()) << g.describe();
+    EXPECT_EQ(s.edges, g.total_edges()) << g.describe();
+    for (const std::size_t window : {0u, 2u}) {
+      const graph::run_stats n = graph::run_graph(tm, g, k, window);
+      EXPECT_EQ(n.tasks, s.tasks) << g.describe() << " window " << window;
+      EXPECT_EQ(n.edges, s.edges) << g.describe() << " window " << window;
+      EXPECT_EQ(n.checksum, expected) << g.describe() << " window " << window;
+    }
   }
 }
 

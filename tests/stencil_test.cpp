@@ -223,6 +223,69 @@ TEST(Futurized, ConstructionRunsAsOneTaskOnThePool) {
   EXPECT_EQ(second, serial);
 }
 
+// --- wide rows: built in parallel slices ------------------------------------
+
+struct wide_case {
+  std::size_t partitions;
+  int workers;
+  std::size_t slices;  // min(workers, partitions / 256) for rows >= 512 wide
+};
+
+class WideRowsMatchSerial : public ::testing::TestWithParam<wide_case> {};
+
+TEST_P(WideRowsMatchSerial, BitIdenticalWithOneHelperPerExtraSlice) {
+  const auto [partitions, workers, slices] = GetParam();
+  params p;
+  p.partition_size = 3;
+  p.total_points = 3 * partitions;
+  p.time_steps = 10;
+  p.normalize();
+  ASSERT_EQ(p.num_partitions(), partitions);
+
+  thread_manager tm(test_config(workers));
+  tm.reset_counters();
+  const auto parallel = run_futurized(tm, p);
+  tm.wait_idle();
+  const auto serial = run_serial(p);
+  ASSERT_EQ(parallel.state.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    ASSERT_EQ(parallel.state[i], serial[i]) << "point " << i;
+  // + 1 for the construction task, + (slices - 1) helper tasks per row.
+  EXPECT_EQ(tm.counter_totals().tasks_executed,
+            p.num_tasks() + 1 + (slices - 1) * p.time_steps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SliceCounts, WideRowsMatchSerial,
+    ::testing::Values(wide_case{1'030, 1, 1},   // one worker: serial rows
+                      wide_case{1'030, 2, 2},   // uneven slices of 515
+                      wide_case{1'030, 4, 4},   // 257/258-wide slices
+                      wide_case{640, 4, 2},     // width caps the split
+                      wide_case{511, 4, 1}));   // below 2 x 256: serial
+
+TEST(Futurized, BuilderSuspendsAboutOncePerRow) {
+  // The builder suspends at most once per row joining its slice helpers,
+  // and its final wait takes the newest row first, so it is not resumed
+  // once per future it reaches ahead of the wavefront.
+  params p;
+  p.partition_size = 16;
+  p.total_points = 16 * 1'024;
+  p.time_steps = 30;
+  thread_manager tm(test_config(4));
+  const auto serial = run_serial(p);
+  tm.reset_counters();
+  EXPECT_EQ(run_futurized(tm, p).state, serial);
+  tm.wait_idle();
+  const auto totals = tm.counter_totals();
+  const std::uint64_t extra_phases = totals.phases_executed - totals.tasks_executed;
+  RecordProperty("builder_extra_phases", std::to_string(extra_phases));
+  // One join per row, plus a few resumptions in the final wait (1-9 in
+  // repeated runs on a 4-CPU host, loaded or not). Waiting oldest row first,
+  // the builder resumed once per future it reached ahead of the wavefront:
+  // hundreds to thousands of extra phases on this ring.
+  EXPECT_LE(extra_phases, p.time_steps + 16);
+}
+
 TEST(Futurized, WindowedConstructionMatchesUnbounded) {
   // max_steps_in_flight bounds memory but must not change results.
   params p;

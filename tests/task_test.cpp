@@ -56,9 +56,8 @@ TEST(TaskState, FullHappyPath) {
   EXPECT_TRUE(t.context().finished());
   t.finish();
   EXPECT_EQ(t.state(), task_state::terminated);
-  t.park();
+  fiber_stack s = t.park();
   EXPECT_FALSE(t.has_context());
-  fiber_stack s = t.take_stack();
   EXPECT_TRUE(s.valid());
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -216,10 +217,60 @@ TEST_P(PolicyParam, SuspendWakeUnderEachPolicy) {
   EXPECT_TRUE(resumed.load());
 }
 
+TEST_P(PolicyParam, WarmBurstMapsNoNewStacks) {
+  // A task binds a stack only when a worker is about to run it, so tasks
+  // queued behind a held worker hold none: a burst needs one stack per
+  // worker in flight, not one per queued task. Once the first burst has
+  // warmed the caches, the second maps at most one more per worker.
+  thread_manager tm(test_config(2, GetParam()));
+  constexpr int burst = 10'000;
+  std::atomic<int> ran{0};
+  std::uint64_t mapped_before = 0;
+  for (int round = 0; round < 2; ++round) {
+    mapped_before = tm.stacks_mapped();
+    worker_hold hold(tm);
+    for (int i = 0; i < burst; ++i)
+      tm.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    hold.release();
+    tm.wait_idle();
+  }
+  EXPECT_EQ(ran.load(), 2 * burst);
+  EXPECT_LE(tm.stacks_mapped() - mapped_before,
+            static_cast<std::uint64_t>(tm.num_workers()));
+  EXPECT_EQ(perf::registry::instance().value_or("/threads/count/stacks-mapped", -1),
+            static_cast<double>(tm.stacks_mapped()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyParam,
                          ::testing::Values("priority-local-fifo", "static-fifo",
                                            "work-stealing-lifo",
                                            "channel-steal"));
+
+TEST(ThreadManager, ExternalSpawnsConvertOnTheExecutingWorker) {
+  // Under the deque policies a task is converted by the worker that pops
+  // or steals it, right before it runs, never by the client thread that
+  // spawned it. With tasks that never suspend, each worker's conversions
+  // therefore equal its executed tasks.
+  for (const char* policy : {"work-stealing-lifo", "channel-steal"}) {
+    thread_manager tm(test_config(3, policy));
+    auto& reg = perf::registry::instance();
+    tm.reset_counters();
+    constexpr int n = 3000;
+    std::atomic<int> ran{0};
+    for (int i = 0; i < n; ++i)
+      tm.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    tm.wait_idle();
+    EXPECT_EQ(ran.load(), n) << policy;
+    for (int w = 0; w < tm.num_workers(); ++w) {
+      const std::string inst = "/threads{worker#" + std::to_string(w) + "}";
+      EXPECT_EQ(reg.value_or(inst + "/count/converted", -1),
+                reg.value_or(inst + "/count/cumulative", -2))
+          << policy << " worker " << w;
+    }
+    EXPECT_EQ(tm.counter_totals().tasks_converted, static_cast<std::uint64_t>(n))
+        << policy;
+  }
+}
 
 TEST(ThreadManager, UnknownPolicyThrows) {
   EXPECT_THROW(thread_manager tm(test_config(1, "no-such-policy")),
@@ -512,8 +563,8 @@ TEST(ThreadManager, SpawnMoveOnlyBody) {
 }
 
 TEST(ThreadManager, RecycledDescriptorsCrossWorkers) {
-  // Task descriptors (each with its stack) are recycled to the worker that
-  // spawned them. Here one spawner task sends every child to a hinted
+  // Task descriptors are recycled to the worker that spawned them, and
+  // their stacks to the worker they retire on. Here one spawner task sends every child to a hinted
   // worker, so most retire away from their owner and travel back through
   // its return list; every fourth child also suspends on a latch and
   // resumes wherever the last count_down lands. Each round reuses the
