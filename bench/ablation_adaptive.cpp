@@ -1,11 +1,9 @@
 // Ablation: closed-loop granularity against the fixed-grain sweep — the
 // paper's stated end goal ("dynamically adapting task size to optimize
-// parallel performance"), three ways:
+// parallel performance"), two ways:
 //
 //   best-fixed      the winner of a log-spaced static chunk sweep (Fig. 3's
 //                   oracle: pick the grain after seeing the whole curve)
-//   adaptive_chunk  the wave-at-a-time idle-rate tuner (core/tuner.hpp),
-//                   started deliberately too fine
 //   lazy_chunk      demand-driven lazy splitting (core/split_controller.hpp
 //                   + algo/splittable.hpp) — no grain parameter at all
 //
@@ -13,13 +11,17 @@
 // sweep in deterministic virtual time), or both. The acceptance gate
 // (--check) requires lazy_chunk to reach --ratio (default 0.9) of the best
 // fixed grain's throughput for every kernel/mode cell — the controller must
-// land near the sweet spot *without being told the grain*.
+// land near the sweet spot *without being told the grain* — and every
+// native lazy cell to have split at least once. A native gate needs
+// --workers >= 2: on one worker nobody starves, lazy never splits, and the
+// ratio compares a single coarse task with itself.
 //
 //   $ ./ablation_adaptive --items=1000000 --samples=3 --mode=both
 //   $ ./ablation_adaptive --check --ratio=0.9 --json=results/BENCH_adaptive.json
 //
 // Flags: --items, --workers, --samples, --item-ns (target per-item cost),
 // --mode=native|sim|both, --kernel=busy_spin|memory_stream|both,
+// --strategy=fixed|lazy|all,
 // --sim-cores (simulated core count, independent of native --workers),
 // --sim-imbalance (per-task cost spread in the simulator), --platform,
 // --json=PATH, --check, --ratio.
@@ -48,11 +50,11 @@ namespace {
 struct cell {
   std::string mode;      // "native" | "sim"
   std::string kernel;    // "busy_spin" | "memory_stream"
-  std::string strategy;  // "fixed" | "adaptive" | "lazy"
+  std::string strategy;  // "fixed" | "lazy"
   std::uint64_t chunk = 0;        // fixed: the swept chunk; lazy: 0
   double time_med_s = 0.0;
   double items_per_s = 0.0;
-  std::uint64_t tasks = 0;        // tasks actually executed (median run)
+  std::uint64_t tasks = 0;        // tasks actually executed (last sample)
   std::uint64_t splits = 0;       // lazy only
   std::uint64_t split_denied = 0; // lazy only
   double exec_s = 0.0;            // Σ t_exec across workers (native)
@@ -61,8 +63,10 @@ struct cell {
 struct gate_row {
   std::string mode, kernel;
   std::uint64_t best_chunk = 0;
-  double best_fixed_s = 0, adaptive_s = 0, lazy_s = 0;
-  double lazy_vs_best = 0, adaptive_vs_best = 0;
+  double best_fixed_s = 0, lazy_s = 0;
+  double lazy_vs_best = 0;
+  std::uint64_t lazy_splits = 0;
+  bool pass = false;
 };
 
 // Per-item native kernels, each ~item_ns of work. Both write a result the
@@ -139,7 +143,13 @@ int main(int argc, char** argv) {
   std::vector<cell> cells;
   std::vector<gate_row> gates;
 
-  std::cout << "Ablation: best-fixed vs adaptive_chunk vs lazy_chunk ("
+  if (check && run_native && workers < 2) {
+    std::cout << "FAIL: --check needs --workers >= 2 for the native gate (got "
+              << workers << "); on one worker lazy_chunk never splits\n";
+    return 1;
+  }
+
+  std::cout << "Ablation: best-fixed vs lazy_chunk ("
             << items << " items, ~" << item_ns << " ns/item, " << workers
             << " workers, median of " << samples << ")\n";
 
@@ -176,9 +186,6 @@ int main(int argc, char** argv) {
         for (const std::uint64_t chunk : sweep_chunks(items, workers))
           runs.push_back({algo::static_chunk{static_cast<std::size_t>(chunk)},
                           cell{"native", kname, "fixed", chunk}});
-      if (strategy_filter == "all" || strategy_filter == "adaptive")
-        runs.push_back(
-            {algo::adaptive_chunk{.initial = 16}, cell{"native", kname, "adaptive"}});
       if (strategy_filter == "all" || strategy_filter == "lazy")
         runs.push_back({algo::lazy_chunk{}, cell{"native", kname, "lazy"}});
 
@@ -207,15 +214,15 @@ int main(int argc, char** argv) {
           g.best_fixed_s = c.time_med_s;
           g.best_chunk = c.chunk;
         }
-        if (c.strategy == "adaptive") g.adaptive_s = c.time_med_s;
-        if (c.strategy == "lazy") g.lazy_s = c.time_med_s;
+        if (c.strategy == "lazy") {
+          g.lazy_s = c.time_med_s;
+          g.lazy_splits = c.splits;
+        }
         cells.push_back(c);
       }
       // The gate needs both sides; strategy-filtered runs just print cells.
       if (want_fixed && g.lazy_s > 0) {
         g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
-        g.adaptive_vs_best =
-            g.adaptive_s > 0 ? g.best_fixed_s / g.adaptive_s : 0.0;
         gates.push_back(g);
       }
     }
@@ -267,8 +274,8 @@ int main(int argc, char** argv) {
                          static_cast<double>(items) / r.makespan_s, r.tasks,
                          r.splits, r.split_denied});
         g.lazy_s = r.makespan_s;
+        g.lazy_splits = r.splits;
       }
-      g.adaptive_s = 0;  // the wave tuner has no simulator counterpart
       g.lazy_vs_best = g.best_fixed_s / g.lazy_s;
       gates.push_back(g);
     }
@@ -288,18 +295,26 @@ int main(int argc, char** argv) {
                    c.exec_s > 0 ? format_number(c.exec_s, 5) : "-"});
   table.print(std::cout);
 
-  bool pass = true;
-  for (const auto& g : gates) {
+  std::vector<std::string> failures;
+  for (auto& g : gates) {
     std::cout << g.mode << "/" << g.kernel << ": best fixed chunk "
               << g.best_chunk << " at " << format_number(g.best_fixed_s, 5)
               << " s; lazy " << format_number(g.lazy_s, 5) << " s ("
-              << format_number(g.lazy_vs_best * 100, 1) << "% of best)";
-    if (g.adaptive_s > 0)
-      std::cout << "; adaptive " << format_number(g.adaptive_s, 5) << " s ("
-                << format_number(g.adaptive_vs_best * 100, 1) << "%)";
-    std::cout << "\n";
-    if (g.lazy_vs_best < ratio_gate) pass = false;
+              << format_number(g.lazy_vs_best * 100, 1) << "% of best)\n";
+    const std::string cell_name = g.mode + "/" + g.kernel;
+    const std::size_t failed_before = failures.size();
+    if (g.lazy_vs_best < ratio_gate)
+      failures.push_back(cell_name + ": lazy_chunk below " +
+                         format_number(ratio_gate * 100, 0) +
+                         "% of best fixed grain");
+    // A native lazy run that never split ran one coarse task per worker: its
+    // ratio says nothing about the splitter.
+    if (g.mode == "native" && g.lazy_splits == 0)
+      failures.push_back(cell_name +
+                         ": lazy_chunk recorded 0 splits (splitter never fired)");
+    g.pass = failures.size() == failed_before;
   }
+  const bool pass = failures.empty();
 
   const std::string json = args.get("json", "");
   if (!json.empty()) {
@@ -325,10 +340,10 @@ int main(int argc, char** argv) {
       f << "    {\"mode\": \"" << g.mode << "\", \"kernel\": \"" << g.kernel
         << "\", \"best_fixed_chunk\": " << g.best_chunk
         << ", \"best_fixed_s\": " << g.best_fixed_s
-        << ", \"adaptive_s\": " << g.adaptive_s << ", \"lazy_s\": " << g.lazy_s
+        << ", \"lazy_s\": " << g.lazy_s
         << ", \"lazy_vs_best\": " << g.lazy_vs_best
-        << ", \"adaptive_vs_best\": " << g.adaptive_vs_best
-        << ", \"pass\": " << (g.lazy_vs_best >= ratio_gate ? "true" : "false")
+        << ", \"lazy_splits\": " << g.lazy_splits
+        << ", \"pass\": " << (g.pass ? "true" : "false")
         << "}" << (i + 1 < gates.size() ? "," : "") << "\n";
     }
     f << "  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
@@ -336,8 +351,7 @@ int main(int argc, char** argv) {
   }
 
   if (check && !pass) {
-    std::cout << "FAIL: lazy_chunk below " << format_number(ratio_gate * 100, 0)
-              << "% of best fixed grain\n";
+    for (const auto& f : failures) std::cout << "FAIL: " << f << "\n";
     return 1;
   }
   return 0;

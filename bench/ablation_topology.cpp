@@ -29,7 +29,7 @@
 //   --window=N       construction window, rows (default 8)
 //   --json=PATH      machine-readable results
 //
-// Observability flags (--trace-out, --sample-interval-us, ...) are honored;
+// Observability flags (--trace-out, --sample-out, ...) are honored;
 // see docs/TRACING.md.
 #include <algorithm>
 #include <cstdint>

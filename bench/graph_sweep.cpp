@@ -33,7 +33,7 @@
 //                      Eq. 1–3 recomputed from events) after the table;
 //                      see docs/ANALYSIS.md
 //
-// Observability flags (--trace-out, --trace-bin, --sample-interval-us, ...)
+// Observability flags (--trace-out, --trace-bin, --sample-out, ...)
 // are honored in native mode; see docs/TRACING.md.
 #include <iostream>
 #include <memory>

@@ -170,7 +170,7 @@ BENCHMARK(bm_task_with_work)->Arg(160)->Arg(2500)->Arg(12500)->Arg(100000);
 }  // namespace
 
 // Expanded BENCHMARK_MAIN so an observability_session wraps the runs. The
-// gran flags (--trace-out, --sample-interval-us, ...) are parsed from the
+// gran flags (--trace-out, --sample-out, ...) are parsed from the
 // original argv before benchmark::Initialize consumes its own; unrecognized
 // leftovers are tolerated on both sides.
 int main(int argc, char** argv) {

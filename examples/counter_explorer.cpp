@@ -40,13 +40,13 @@ int main(int argc, char** argv) {
   std::cout << "registered performance counters under '" << prefix << "':\n";
   table.print(std::cout);
 
-  // Interval semantics: capture, work, diff — the basis for the paper's
-  // "dynamic measurement over any interval of interest".
-  const auto before = perf::snapshot::capture({"/threads/count"});
+  // Interval semantics: a window opened before the work and closed after it
+  // — the basis for the paper's "dynamic measurement over any interval of
+  // interest".
+  perf::window_aggregator window(perf::window_options{{"/threads/count"}});
   when_all(std::vector<future<double>>{async([] { return 1.0; })}).wait();
-  const auto after = perf::snapshot::capture({"/threads/count"});
-  const perf::interval delta(before, after);
+  const perf::window_snapshot interval = window.tick();
   std::printf("\ntasks executed during the interval: %.0f\n",
-              delta.value("/threads/count/cumulative"));
+              interval.delta_or("/threads/count/cumulative", 0.0));
   return 0;
 }

@@ -76,7 +76,16 @@ flight_bin=$(ls "$trace_tmp"/flight-*.bin 2>/dev/null | head -1)
 [[ -n "$flight_bin" ]] \
   || { echo "telemetry smoke: no flight dump written" >&2; exit 1; }
 ./build/tools/gran_trace_report --in="$flight_bin" >/dev/null
-echo "telemetry smoke: exporters + SIGUSR1 flight dump ok"
+# The counter time series rides the same windows: a fig bench with
+# --sample-out must write a time_ns header and one row per window.
+./build/bench/fig3_exec_time --mode=native --points=100000 --steps=5 \
+    --samples=1 --quiet --sample-out="$trace_tmp/series.csv" \
+    --metrics-interval-us=10000 >/dev/null
+head -1 "$trace_tmp/series.csv" | grep -q '^time_ns,' \
+  || { echo "telemetry smoke: series has no time_ns header" >&2; exit 1; }
+[[ $(wc -l < "$trace_tmp/series.csv") -ge 3 ]] \
+  || { echo "telemetry smoke: series has fewer than 2 rows" >&2; exit 1; }
+echo "telemetry smoke: exporters + SIGUSR1 flight dump + series ok"
 
 echo "=== ci: topology smoke ==="
 # Hier-vs-flat steal order and both pinning layouts at CI sizes. The forced
@@ -92,12 +101,22 @@ echo "=== ci: lazy-split smoke ==="
 # native and simulated. No throughput gate at CI sizes (the full gated run is
 # scripts/bench_adaptive_baseline.sh); this catches wiring regressions —
 # lazy_chunk must run to completion in both modes and the sim must split.
+# The split gate itself must be able to fail: with splitting disabled every
+# native lazy cell records 0 splits, and --check has to say so and exit
+# non-zero.
 ./build/bench/ablation_adaptive --items=100000 --samples=1 --mode=native \
     >/dev/null
 ./build/bench/ablation_adaptive --items=100000 --samples=1 --mode=sim \
     | grep -q 'sim/busy_spin' \
   || { echo "lazy-split smoke: sim leg missing" >&2; exit 1; }
-echo "lazy-split smoke: native + sim ok"
+if GRAN_SPLIT=0 ./build/bench/ablation_adaptive --items=100000 --samples=1 \
+    --mode=native --workers=2 --check > "$trace_tmp/split_gate.txt"; then
+  echo "lazy-split smoke: --check passed with GRAN_SPLIT=0" >&2; exit 1
+fi
+grep -q "lazy_chunk recorded 0 splits" "$trace_tmp/split_gate.txt" \
+  || { echo "lazy-split smoke: no split-gate failure line" >&2; \
+       cat "$trace_tmp/split_gate.txt" >&2; exit 1; }
+echo "lazy-split smoke: native + sim + failing split gate ok"
 
 echo "=== ci: service smoke ==="
 # Task-service ingress end to end, sized for 1-CPU runners: a short open-loop

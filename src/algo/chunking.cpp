@@ -15,17 +15,13 @@ std::size_t resolve_chunk(const chunking& policy, std::size_t items, int workers
         1, static_cast<std::size_t>(workers) * std::max<std::size_t>(1, autoc->tasks_per_worker));
     return std::max<std::size_t>(1, (items + tasks - 1) / tasks);
   }
-  if (const auto* lazy = std::get_if<lazy_chunk>(&policy)) {
-    // Algorithms that cannot split mid-flight (reductions, scans) get the
-    // lazy policy's coarse starting blocks as a plain static chunk.
-    const std::size_t tasks = std::max<std::size_t>(
-        1, lazy->initial_tasks != 0 ? lazy->initial_tasks
-                                    : static_cast<std::size_t>(workers));
-    return std::max<std::size_t>(1, (items + tasks - 1) / tasks);
-  }
-  // adaptive_chunk resolves per wave inside the algorithm; its initial value
-  // is the answer for one-shot uses.
-  return std::max<std::size_t>(1, std::get<adaptive_chunk>(policy).initial);
+  // Algorithms that cannot split mid-flight (reductions, scans) get the
+  // lazy policy's coarse starting blocks as a plain static chunk.
+  const auto& lazy = std::get<lazy_chunk>(policy);
+  const std::size_t tasks = std::max<std::size_t>(
+      1, lazy.initial_tasks != 0 ? lazy.initial_tasks
+                                 : static_cast<std::size_t>(workers));
+  return std::max<std::size_t>(1, (items + tasks - 1) / tasks);
 }
 
 }  // namespace gran::algo

@@ -71,7 +71,7 @@ struct split_join {
 // Executes fn(i) over [lo, hi), splitting off the back half whenever the
 // controller reports demand. Runs inside a task; never throws (failures are
 // routed into the join, and a failed join abandons remaining items — same
-// first-exception-wins contract as parallel_for's run_wave).
+// first-exception-wins contract as parallel_for's static chunks).
 template <typename F>
 void run_splittable(thread_manager& tm, core::split_controller& ctl,
                     split_join& join, std::size_t lo, std::size_t hi, const F& fn,

@@ -12,11 +12,10 @@
 //     This is the fast path: a parked or probing-and-missing worker means
 //     someone can use the back half of *this* task right now.
 //   * latched pressure — a hysteresis gate over the measurement-interval
-//     idle-rate (Eq. 1) fused with the pending-queue miss rate, reusing the
-//     grain_tuner watermarks (core/tuner.hpp): the gate opens above
-//     `high_water` (0.30) and only closes again below `low_water` (0.05),
-//     so a workload that hovers around the threshold does not flap between
-//     splitting and coasting.
+//     idle-rate (Eq. 1) fused with the pending-queue miss rate: the gate
+//     opens above `high_water` (0.30, paper §IV-A's workable threshold) and
+//     only closes again below `low_water` (0.05), so a workload that hovers
+//     around the threshold does not flap between splitting and coasting.
 //
 // should_split() is the hot-path query (one relaxed load each of the gate
 // and the hunger count); observe()/maybe_observe() feed the gate at a

@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -629,6 +631,65 @@ bool write_file_atomic(const std::string& path, const std::string& content) {
   }
   ::close(fd);
   return ::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+void series_sink::add(const window_snapshot& w) {
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  row r;
+  r.t_ns = w.t_end_ns;
+  r.values.assign(columns_.size(), nan);
+  for (const window_metric& m : w.metrics) {
+    const auto [it, added] = column_of_.try_emplace(m.path, columns_.size());
+    if (added) {
+      columns_.push_back(m.path);
+      r.values.push_back(nan);
+    }
+    r.values[it->second] = m.value;
+  }
+  rows_.push_back(std::move(r));
+  if (rows_.size() > max_rows) rows_.pop_front();
+}
+
+double series_sink::value(std::size_t row, std::size_t column) const {
+  const std::vector<double>& v = rows_[row].values;
+  return column < v.size() ? v[column] : std::numeric_limits<double>::quiet_NaN();
+}
+
+void series_sink::write(std::ostream& os, bool json) const {
+  if (json) {
+    os << "{\n  \"columns\": [\"time_ns\"";
+    for (const std::string& c : columns_) {
+      os << ", ";
+      write_json_string(os, c);
+    }
+    os << "],\n  \"rows\": [\n";
+  } else {
+    os << "time_ns";
+    for (const std::string& c : columns_) os << ',' << c;
+    os << '\n';
+  }
+  const std::int64_t t0 = rows_.empty() ? 0 : rows_.front().t_ns;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    os << (json ? "    [" : "") << rows_[i].t_ns - t0;
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      const double v = value(i, c);
+      os << (json ? ", " : ",");
+      if (!std::isfinite(v))
+        os << (json ? "null" : "nan");
+      else
+        os << v;
+    }
+    if (json) os << ']' << (i + 1 < rows_.size() ? "," : "");
+    os << '\n';
+  }
+  if (json) os << "  ]\n}\n";
+}
+
+bool series_sink::write_file(const std::string& path) const {
+  std::ofstream f(path);
+  if (f) write(f, path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0);
+  if (!f) std::fprintf(stderr, "[gran] series: cannot write %s\n", path.c_str());
+  return static_cast<bool>(f);
 }
 
 }  // namespace gran::perf

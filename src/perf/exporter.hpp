@@ -1,4 +1,4 @@
-// Streaming export of window snapshots (perf/window.hpp) in two formats:
+// Streaming export of window snapshots (perf/window.hpp) in three formats:
 //
 //  * Prometheus text exposition format — one full scrape body per window,
 //    rewritten atomically to a *.prom file (node_exporter textfile-collector
@@ -12,16 +12,24 @@
 //    incident lines from the watchdog), written to a file, a FIFO, or a TCP
 //    socket ("tcp://host:port"). This is the stream tools/gran_top tails.
 //
-// Both writers keep NaN/Inf out of the output (JSON forbids them; scrapers
-// choke on them): non-finite values serialize as 0.
+//  * Counter time series — one row per window, kept in memory and written
+//    once as CSV or JSON (series_sink) for post-mortem plots: idle-rate over
+//    time, queue depth over time, ...
+//
+// The Prometheus and JSONL writers keep NaN/Inf out of the output (JSON
+// forbids them; scrapers choke on them): non-finite values serialize as 0.
+// The series keeps NaN as its "no value" marker (CSV "nan", JSON null).
 //
 // validate_prometheus_text checks exposition-format conformance (used by
 // the tests and by `gran_top --check-prom` in CI).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "perf/window.hpp"
 
@@ -91,6 +99,43 @@ class metrics_sink {
   bool socket_ = false;
   bool warned_ = false;
   std::uint64_t bytes_ = 0;
+};
+
+// Time series of the window-end value of every metric, one row per window.
+// Columns only append: a counter that registers late gets a new column that
+// reads NaN in earlier rows, and a counter that vanishes keeps its column and
+// reads NaN from then on. Not thread-safe; the telemetry session feeds it
+// from its window thread and writes it once at stop().
+class series_sink {
+ public:
+  // Retained rows; the oldest row is dropped beyond this.
+  static constexpr std::size_t max_rows = 65'536;
+
+  void add(const window_snapshot& w);
+
+  const std::vector<std::string>& columns() const { return columns_; }
+  std::size_t rows() const { return rows_.size(); }
+  // Value at (row, column), oldest row first; NaN where the counter was
+  // absent.
+  double value(std::size_t row, std::size_t column) const;
+
+  // Header "time_ns,<column>..." (time relative to the first kept row), then
+  // one line per row; NaN writes as "nan". With `json`, an object
+  // {"columns": [...], "rows": [[...], ...]} where NaN writes as null.
+  void write(std::ostream& os, bool json) const;
+  // JSON for a ".json" path, CSV otherwise. False (with a warning) when the
+  // file cannot be written.
+  bool write_file(const std::string& path) const;
+
+ private:
+  struct row {
+    std::int64_t t_ns = 0;       // window end, steady_clock
+    std::vector<double> values;  // columns known when the row was added
+  };
+
+  std::vector<std::string> columns_;
+  std::unordered_map<std::string, std::size_t> column_of_;
+  std::deque<row> rows_;
 };
 
 // Atomically replaces `path` with `content` (write to path+".tmp", rename),

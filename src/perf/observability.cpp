@@ -1,26 +1,12 @@
 #include "perf/observability.hpp"
 
 #include <iostream>
-#include <sstream>
 
 #include "perf/pmu.hpp"
 #include "perf/trace.hpp"
 #include "util/env.hpp"
 
 namespace gran::perf {
-
-namespace {
-
-std::vector<std::string> split_prefixes(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-}  // namespace
 
 observability_session::options observability_session::options_from_env() {
   options o;
@@ -31,10 +17,7 @@ observability_session::options observability_session::options_from_env() {
   if (!bin.empty())
     o.trace_bin = (bin == "1" || bin == "true") ? "gran_trace.bin" : bin;
   o.trace_buf_events = static_cast<std::size_t>(env_int("GRAN_TRACE_BUF", 0));
-  o.sample_interval_us = static_cast<std::uint64_t>(env_int("GRAN_SAMPLE_US", 0));
   o.sample_out = env_string("GRAN_SAMPLE_OUT", "");
-  const std::string set = env_string("GRAN_SAMPLE_SET", "");
-  if (!set.empty()) o.sample_prefixes = split_prefixes(set);
   o.metrics_out = env_string("GRAN_METRICS", "");
   o.metrics_prom = env_string("GRAN_METRICS_PROM", "");
   o.metrics_interval_us = env_int("GRAN_METRICS_US", 0);
@@ -52,11 +35,7 @@ observability_session::options observability_session::options_from_cli(
   base.trace_bin = args.get("trace-bin", base.trace_bin);
   base.trace_buf_events = static_cast<std::size_t>(
       args.get_int("trace-buf", static_cast<std::int64_t>(base.trace_buf_events)));
-  base.sample_interval_us = static_cast<std::uint64_t>(args.get_int(
-      "sample-interval-us", static_cast<std::int64_t>(base.sample_interval_us)));
   base.sample_out = args.get("sample-out", base.sample_out);
-  const std::string set = args.get("sample-set", "");
-  if (!set.empty()) base.sample_prefixes = split_prefixes(set);
   base.metrics_out = args.get("metrics-out", base.metrics_out);
   base.metrics_prom = args.get("metrics-prom", base.metrics_prom);
   base.metrics_interval_us =
@@ -77,16 +56,10 @@ observability_session::observability_session(options opt) : opt_(std::move(opt))
     t.enable(opt_.trace_buf_events);
     t.set_export_path(opt_.trace_out);
   }
-  if (opt_.sample_interval_us > 0) {
-    if (opt_.sample_out.empty()) opt_.sample_out = "gran_samples.csv";
-    sampler_options so;
-    so.prefixes = opt_.sample_prefixes;
-    so.interval_us = opt_.sample_interval_us;
-    sampler_ = std::make_unique<sampler_thread>(std::move(so));
-  }
   telemetry_options to;
   to.jsonl_out = opt_.metrics_out;
   to.prom_out = opt_.metrics_prom;
+  to.series_out = opt_.sample_out;
   if (opt_.metrics_interval_us > 0) to.interval_us = opt_.metrics_interval_us;
   to.flight_prefix = opt_.flight_prefix;
   if (opt_.stall_ns > 0) to.watchdog.stuck_ns = opt_.stall_ns;
@@ -107,16 +80,13 @@ void observability_session::finish() {
     if (!opt_.metrics_prom.empty())
       std::cout << "(telemetry: Prometheus exposition in " << opt_.metrics_prom
                 << ")\n";
+    if (telemetry_->series_written())
+      std::cout << "(counter time series: " << telemetry_->series().rows()
+                << " windows written to " << opt_.sample_out << ")\n";
     if (telemetry_->incidents_raised() > 0)
       std::cout << "(watchdog: " << telemetry_->incidents_raised()
                 << " stall incident(s); last flight dump: "
                 << telemetry_->last_flight_path() << ")\n";
-  }
-  if (sampler_) {
-    sampler_->stop();
-    if (sampler_->dump_file(opt_.sample_out))
-      std::cout << "(counter time series: " << sampler_->samples_taken()
-                << " samples written to " << opt_.sample_out << ")\n";
   }
   if (!opt_.trace_out.empty()) {
     // The thread manager also exports at stop(); this final export includes

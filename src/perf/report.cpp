@@ -24,13 +24,4 @@ void dump_table(std::ostream& os, const std::string& prefix) {
   table.print(os);
 }
 
-void dump_interval_csv(std::ostream& os, const interval& delta,
-                       const snapshot& reference) {
-  os << "counter,value\n";
-  for (const auto& [path, unused] : reference.values()) {
-    (void)unused;
-    os << path << ',' << format_number(delta.value(path), 6) << '\n';
-  }
-}
-
 }  // namespace gran::perf

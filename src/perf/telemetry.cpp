@@ -115,6 +115,7 @@ void telemetry_session::stop() {
   // tick still reach the stream.
   close_window();
   jsonl_.close();
+  if (!opt_.series_out.empty()) series_written_ = series_.write_file(opt_.series_out);
   if (signal_installed_) {
     ::sigaction(SIGUSR1, &g_prev_usr1, nullptr);
     signal_installed_ = false;
@@ -188,6 +189,7 @@ void telemetry_session::close_window() {
     write_prometheus_text(body, w);
     write_file_atomic(opt_.prom_out, body.str());
   }
+  if (!opt_.series_out.empty()) series_.add(w);
   windows_.fetch_add(1, std::memory_order_relaxed);
 
   handle_incidents(w);

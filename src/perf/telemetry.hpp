@@ -3,6 +3,7 @@
 //
 //   window_aggregator ──► JSONL stream (file / FIFO / tcp://host:port)
 //        │                Prometheus textfile (atomic rewrite per window)
+//        │                counter time series (CSV / JSON written at stop)
 //        │
 //        └─► stall_watchdog ──► incident JSONL lines
 //                               flight-recorder dump (GRANTRC1 + report)
@@ -14,9 +15,10 @@
 // stopping the workers.
 //
 // Sessions are owned by perf::observability_session (--metrics-out,
-// --metrics-prom, --metrics-interval-us, --flight-prefix, --stall-ns and
-// the GRAN_METRICS* / GRAN_FLIGHT / GRAN_STALL_NS environment knobs), so
-// every bench and tool grows the capability without code changes.
+// --metrics-prom, --metrics-interval-us, --sample-out, --flight-prefix,
+// --stall-ns and the GRAN_METRICS* / GRAN_SAMPLE_OUT / GRAN_FLIGHT /
+// GRAN_STALL_NS environment knobs), so every bench and tool grows the
+// capability without code changes.
 #pragma once
 
 #include <atomic>
@@ -40,6 +42,9 @@ struct telemetry_options {
   // Prometheus exposition file, atomically rewritten each window. Empty =
   // none.
   std::string prom_out;
+  // Counter time series (series_sink): one row per window, written at
+  // stop() — JSON for a ".json" path, CSV otherwise. Empty = none.
+  std::string series_out;
   std::int64_t interval_us = 100'000;  // window length
   // Flight-recorder output prefix: incidents and SIGUSR1 write
   // <prefix>-<n>.bin / .txt. Empty = flight recorder off. A non-empty
@@ -53,7 +58,8 @@ struct telemetry_options {
   window_options window;
 
   bool enabled() const {
-    return !jsonl_out.empty() || !prom_out.empty() || !flight_prefix.empty();
+    return !jsonl_out.empty() || !prom_out.empty() || !series_out.empty() ||
+           !flight_prefix.empty();
   }
 };
 
@@ -76,7 +82,8 @@ class telemetry_session {
   telemetry_session(const telemetry_session&) = delete;
   telemetry_session& operator=(const telemetry_session&) = delete;
 
-  // Closes one final window, stops the thread, closes the sinks. Idempotent.
+  // Closes one final window, stops the thread, closes the sinks and writes
+  // the series file. Idempotent.
   void stop();
 
   // Captures a flight dump now (also invoked by the watchdog and SIGUSR1).
@@ -94,6 +101,9 @@ class telemetry_session {
     return flights_.load(std::memory_order_relaxed);
   }
   std::string last_flight_path() const;
+  // The counter time series; read it only after stop().
+  const series_sink& series() const noexcept { return series_; }
+  bool series_written() const noexcept { return series_written_; }
 
  private:
   void run();
@@ -107,6 +117,8 @@ class telemetry_session {
   window_aggregator aggregator_;
   stall_watchdog watchdog_;
   metrics_sink jsonl_;
+  series_sink series_;
+  bool series_written_ = false;
 
   std::atomic<std::uint64_t> windows_{0};
   std::atomic<std::uint64_t> incidents_{0};

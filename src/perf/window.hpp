@@ -34,8 +34,8 @@ namespace gran::perf {
 
 struct window_options {
   // Counter-path prefixes included in the window (registry + histogram
-  // sources). Unlike the sampler's frozen column set, the set is re-resolved
-  // every tick, so late-registered counters join automatically. /service is
+  // sources). The set is re-resolved every tick, so late-registered
+  // counters join automatically. /service is
   // included by default so a task_service (service/service.hpp) surfaces in
   // the stream the moment it registers; when none exists the prefix simply
   // matches nothing.

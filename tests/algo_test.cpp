@@ -39,8 +39,11 @@ TEST(Chunking, AutoTargetsTasksPerWorker) {
   EXPECT_GE(resolve_chunk(auto_chunk{4}, 3, 8), 1u);
 }
 
-TEST(Chunking, AdaptiveResolvesToInitial) {
-  EXPECT_EQ(resolve_chunk(adaptive_chunk{.initial = 64}, 1'000'000, 4), 64u);
+TEST(Chunking, LazyResolvesToInitialBlocks) {
+  // One coarse block per worker by default, or per requested initial task.
+  EXPECT_EQ(resolve_chunk(lazy_chunk{}, 1'000'000, 4), 250'000u);
+  EXPECT_EQ(resolve_chunk(lazy_chunk{.initial_tasks = 3}, 1'000, 4), 334u);
+  EXPECT_EQ(resolve_chunk(lazy_chunk{}, 3, 8), 1u);  // at least one item
 }
 
 // --- parallel_for ----------------------------------------------------------------
@@ -58,7 +61,7 @@ TEST_P(ParallelForPolicies, TouchesEveryIndexOnce) {
   switch (GetParam()) {
     case 0: policy = static_chunk{7}; break;
     case 1: policy = auto_chunk{}; break;
-    default: policy = adaptive_chunk{.initial = 8}; break;
+    default: policy = lazy_chunk{}; break;
   }
   constexpr std::size_t n = 10'000;
   std::vector<std::atomic<int>> hits(n);
@@ -70,7 +73,7 @@ std::string policy_case_name(const ::testing::TestParamInfo<int>& info) {
   switch (info.param) {
     case 0: return "static";
     case 1: return "auto";
-    default: return "adaptive";
+    default: return "lazy";
   }
 }
 
@@ -95,17 +98,19 @@ TEST(ParallelFor, NonZeroBase) {
 
 TEST(ParallelFor, ExceptionPropagates) {
   thread_manager tm(test_config(2));
-  EXPECT_THROW(
-      parallel_for(tm, 0, 1'000,
-                   [](std::size_t i) {
-                     if (i == 321) throw std::runtime_error("item 321");
-                   },
-                   static_chunk{10}),
-      std::runtime_error);
-  // The runtime must still be healthy afterwards.
-  std::atomic<int> ok{0};
-  parallel_for(tm, 0, 100, [&](std::size_t) { ++ok; });
-  EXPECT_EQ(ok.load(), 100);
+  for (const chunking& policy : {chunking{static_chunk{10}}, chunking{lazy_chunk{}}}) {
+    EXPECT_THROW(
+        parallel_for(tm, 0, 1'000,
+                     [](std::size_t i) {
+                       if (i == 321) throw std::runtime_error("item 321");
+                     },
+                     policy),
+        std::runtime_error);
+    // The runtime must still be healthy afterwards.
+    std::atomic<int> ok{0};
+    parallel_for(tm, 0, 100, [&](std::size_t) { ++ok; }, policy);
+    EXPECT_EQ(ok.load(), 100);
+  }
 }
 
 TEST(ParallelFor, DefaultManagerOverload) {
@@ -125,12 +130,12 @@ TEST(ParallelFor, SingleItem) {
   EXPECT_EQ(hits.load(), 1);
 }
 
-TEST(ParallelFor, AdaptiveLargeRange) {
+TEST(ParallelFor, LazyLargeRange) {
   thread_manager tm(test_config(4));
   constexpr std::size_t n = 100'000;
   std::atomic<long> sum{0};
   parallel_for(tm, 0, n, [&](std::size_t i) { sum += static_cast<long>(i); },
-               adaptive_chunk{.initial = 4});
+               lazy_chunk{});
   EXPECT_EQ(sum.load(), static_cast<long>(n - 1) * n / 2);
 }
 

@@ -1,10 +1,10 @@
 // Tests for the performance-counter framework (src/perf): path parsing,
-// registry operations, snapshot/interval semantics.
+// registry operations, interval semantics through a window.
 #include <gtest/gtest.h>
 
 #include "perf/counters.hpp"
 #include "perf/report.hpp"
-#include "perf/sampler.hpp"
+#include "perf/window.hpp"
 
 #include <sstream>
 
@@ -151,45 +151,27 @@ TEST_F(RegistryTest, QueryAllSamplesOutsideLock) {
   EXPECT_EQ(all[1].second.value, 7.0);   // /test/reentrant via nested query
 }
 
-// --- snapshot / interval ----------------------------------------------------------
+// --- interval (window) ----------------------------------------------------------
 
-TEST_F(RegistryTest, SnapshotCaptures) {
-  auto& reg = registry::instance();
-  double v = 5.0;
-  reg.add("/test/mono", counter_kind::monotonic, "", [&v] { return v; });
-  const auto snap = snapshot::capture({"/test"});
-  EXPECT_TRUE(snap.has("/test/mono"));
-  EXPECT_EQ(snap.value("/test/mono"), 5.0);
-  EXPECT_FALSE(snap.has("/nonexistent"));
-  EXPECT_EQ(snap.value("/nonexistent", -3.0), -3.0);
-}
+class WindowAggregator : public RegistryTest {};
 
-TEST_F(RegistryTest, IntervalDiffsMonotonicKeepsGauge) {
+TEST_F(WindowAggregator, DiffsMonotonicKeepsGauge) {
   auto& reg = registry::instance();
   double mono = 100.0, gauge = 7.0;
   reg.add("/test/mono", counter_kind::monotonic, "", [&mono] { return mono; });
   reg.add("/test/gauge", counter_kind::gauge, "", [&gauge] { return gauge; });
 
-  const auto before = snapshot::capture({"/test"});
+  window_aggregator window(window_options{{"/test"}});
   mono = 150.0;
   gauge = 9.0;
-  const auto after = snapshot::capture({"/test"});
+  const window_snapshot w = window.tick();
 
-  const interval delta(before, after);
-  EXPECT_EQ(delta.value("/test/mono"), 50.0);   // differenced
-  EXPECT_EQ(delta.value("/test/gauge"), 9.0);   // end value
-  EXPECT_EQ(delta.delta("/test/gauge"), 2.0);   // raw difference on request
-  EXPECT_GE(delta.span_ns(), 0);
+  EXPECT_EQ(w.delta_or("/test/mono", -1), 50.0);   // differenced
+  EXPECT_EQ(w.value_or("/test/gauge", -1), 9.0);   // end value
+  EXPECT_EQ(w.delta_or("/test/gauge", -1), 2.0);   // raw difference on request
+  EXPECT_EQ(w.value_or("/nonexistent", -3.0), -3.0);
+  EXPECT_GE(w.t_end_ns, w.t_start_ns);
 }
-
-TEST_F(RegistryTest, CapturePathsSkipsUnknown) {
-  auto& reg = registry::instance();
-  reg.add("/test/known", counter_kind::gauge, "", [] { return 1.0; });
-  const auto snap = snapshot::capture_paths({"/test/known", "/test/unknown"});
-  EXPECT_TRUE(snap.has("/test/known"));
-  EXPECT_FALSE(snap.has("/test/unknown"));
-}
-
 
 // --- report -------------------------------------------------------------------
 
@@ -209,19 +191,6 @@ TEST_F(RegistryTest, DumpTableContainsDescriptions) {
   dump_table(os, "/test");
   EXPECT_NE(os.str().find("/test/z"), std::string::npos);
   EXPECT_NE(os.str().find("the z counter"), std::string::npos);
-}
-
-TEST_F(RegistryTest, DumpIntervalCsv) {
-  auto& reg = registry::instance();
-  double mono = 10.0;
-  reg.add("/test/m", counter_kind::monotonic, "", [&mono] { return mono; });
-  const auto before = snapshot::capture({"/test"});
-  mono = 25.0;
-  const auto after = snapshot::capture({"/test"});
-  const interval delta(before, after);
-  std::ostringstream os;
-  dump_interval_csv(os, delta, before);
-  EXPECT_NE(os.str().find("/test/m,15"), std::string::npos);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include "algo/splittable.hpp"
 #include "core/split_controller.hpp"
-#include "core/tuner.hpp"
 #include "sim/machine_model.hpp"
 #include "sim/split_sim.hpp"
 #include "threads/thread_manager.hpp"
@@ -215,22 +214,6 @@ TEST(SplitSim, FixedAndLazyConserveItems) {
   EXPECT_EQ(lazy.items_executed, cfg.items);
   // Every split turns one task into two.
   EXPECT_EQ(lazy.tasks, static_cast<std::uint64_t>(cfg.cores) + lazy.splits);
-}
-
-TEST(WaveProbe, SnapshotsEveryWave) {
-  // Satellite regression: the adaptive tuner's idle-rate interval must be
-  // closed by the last finishing task of each wave (wave_probe), not by the
-  // caller after the join tail — every wave should have a clean snapshot.
-  thread_manager tm(workers_cfg(2));
-  const auto report = core::adaptive_chunked_for_each(
-      tm, 50'000, 64, [](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          volatile std::uint64_t x = i;
-          (void)x;
-        }
-      });
-  EXPECT_GT(report.waves, 0u);
-  EXPECT_EQ(report.clean_wave_snapshots, report.waves);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the live telemetry plane: windowed aggregation, the streaming
-// exporters, the stall watchdog, the flight recorder, and the sampler's
-// late-registration handling.
+// exporters, the stall watchdog, the flight recorder, and the counter time
+// series' late-registration handling.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,7 +25,6 @@
 #include "perf/exporter.hpp"
 #include "perf/heartbeat.hpp"
 #include "perf/histogram.hpp"
-#include "perf/sampler_thread.hpp"
 #include "perf/telemetry.hpp"
 #include "perf/trace.hpp"
 #include "perf/watchdog.hpp"
@@ -639,39 +638,44 @@ TEST(Telemetry, FlightDumpRoundTripsThroughAnalyzer) {
   std::remove(to.jsonl_out.c_str());
 }
 
-// --- sampler late registration (regression) --------------------------------
+// --- series late registration (regression) ---------------------------------
 
-TEST(SamplerThread, LateRegisteredCounterGetsColumn) {
+TEST(TelemetrySeries, LateRegisteredCounterGetsColumn) {
   auto& reg = registry::instance();
   reg.add("/latetest/a", counter_kind::gauge, "test", [] { return 1.0; });
 
-  sampler_options so;
-  so.prefixes = {"/latetest"};
-  so.interval_us = 2000;
-  sampler_thread sampler(so);
+  const std::string path = temp_path("late.csv");
+  telemetry_options to;
+  to.series_out = path;
+  to.interval_us = 2000;
+  to.window.prefixes = {"/latetest"};
+  telemetry_session session(to);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  // Register a second counter while the sampler is running: it must join
-  // the column set instead of being silently dropped (the old behavior froze
-  // the columns at the first tick).
+  // Register a second counter while the session is running: it must join
+  // the column set as a new column instead of being silently dropped.
   reg.add("/latetest/b", counter_kind::gauge, "test", [] { return 2.0; });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sampler.stop();
+  session.stop();
 
-  const auto columns = sampler.columns();
-  ASSERT_EQ(columns.size(), 2u);
-  EXPECT_EQ(columns[0], "/latetest/a");
-  EXPECT_EQ(columns[1], "/latetest/b");
-
-  const auto rows = sampler.series();
-  ASSERT_GT(rows.size(), 2u);
-  for (const auto& r : rows) ASSERT_EQ(r.values.size(), 2u);
+  const series_sink& series = session.series();
+  ASSERT_EQ(series.columns().size(), 2u);
+  EXPECT_EQ(series.columns()[0], "/latetest/a");
+  EXPECT_EQ(series.columns()[1], "/latetest/b");
+  ASSERT_GT(series.rows(), 2u);
   // Early rows predate /latetest/b: NaN-padded, never mis-aligned.
-  EXPECT_TRUE(std::isnan(rows.front().values[1]));
-  EXPECT_DOUBLE_EQ(rows.front().values[0], 1.0);
-  EXPECT_DOUBLE_EQ(rows.back().values[1], 2.0);
+  EXPECT_TRUE(std::isnan(series.value(0, 1)));
+  EXPECT_DOUBLE_EQ(series.value(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(series.value(series.rows() - 1, 1), 2.0);
+
+  std::ifstream f(path);
+  std::string header, first_row;
+  ASSERT_TRUE(std::getline(f, header) && std::getline(f, first_row));
+  EXPECT_EQ(header, "time_ns,/latetest/a,/latetest/b");
+  EXPECT_EQ(first_row, "0,1,nan");
 
   reg.remove_prefix("/latetest");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,21 +1,25 @@
 // Tests for the observability stack: trace rings + Chrome JSON export
 // (src/perf/trace.*), log2 histograms (src/perf/histogram.*), and the
-// background counter sampler (src/perf/sampler_thread.*).
+// counter time series the telemetry session records per window
+// (perf::series_sink).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "perf/counters.hpp"
+#include "perf/exporter.hpp"
 #include "perf/histogram.hpp"
 #include "perf/observability.hpp"
-#include "perf/sampler_thread.hpp"
+#include "perf/telemetry.hpp"
 #include "perf/trace.hpp"
 #include "threads/thread_manager.hpp"
 
@@ -272,113 +276,134 @@ TEST_F(TraceTest, StealEventsCarryVictim) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);  // flow end
 }
 
-// --- sampler_thread ----------------------------------------------------------
+// --- counter time series ---------------------------------------------------
 
-class SamplerTest : public ::testing::Test {
+class SeriesTest : public TraceTest {
  protected:
-  void SetUp() override { perf::registry::instance().remove_prefix("/trtest"); }
-  void TearDown() override { perf::registry::instance().remove_prefix("/trtest"); }
+  void SetUp() override {
+    TraceTest::SetUp();
+    perf::registry::instance().remove_prefix("/trtest");
+  }
+  void TearDown() override {
+    perf::registry::instance().remove_prefix("/trtest");
+    TraceTest::TearDown();
+  }
+
+  // A series-only telemetry session over /trtest with 0.5 ms windows.
+  static perf::telemetry_options series_options(const std::string& out) {
+    perf::telemetry_options to;
+    to.series_out = out;
+    to.interval_us = 500;
+    to.window.prefixes = {"/trtest"};
+    return to;
+  }
+
+  static void wait_windows(const perf::telemetry_session& s, std::uint64_t n) {
+    while (s.windows_exported() < n)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  static std::string slurp(const std::string& path) {
+    std::ifstream f(path);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+  }
 };
 
-TEST_F(SamplerTest, RecordsRowsAndDumps) {
+TEST_F(SeriesTest, RecordsRowsAndDumps) {
   auto& reg = perf::registry::instance();
   std::atomic<double> v{1.0};
   reg.add("/trtest/a", perf::counter_kind::gauge, "", [&v] { return v.load(); });
   reg.add("/trtest/b", perf::counter_kind::monotonic, "", [] { return 5.0; });
 
-  perf::sampler_options opt;
-  opt.prefixes = {"/trtest"};
-  opt.interval_us = 500;
-  perf::sampler_thread sampler(opt);
-  while (sampler.samples_taken() < 5)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::string csv_path = testing::TempDir() + "gran_series_rows.csv";
+  perf::telemetry_session session(series_options(csv_path));
+  // The series alone neither arms the flight recorder nor enables tracing.
+  EXPECT_FALSE(perf::tracer::enabled());
+  wait_windows(session, 5);
   v.store(2.0);
-  while (sampler.samples_taken() < 10)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
+  wait_windows(session, 10);
+  session.stop();
 
-  const auto columns = sampler.columns();
-  ASSERT_EQ(columns.size(), 2u);
-  EXPECT_EQ(columns[0], "/trtest/a");
-  EXPECT_EQ(columns[1], "/trtest/b");
+  const perf::series_sink& series = session.series();
+  ASSERT_EQ(series.columns().size(), 2u);
+  EXPECT_EQ(series.columns()[0], "/trtest/a");
+  EXPECT_EQ(series.columns()[1], "/trtest/b");
+  ASSERT_GE(series.rows(), 10u);
+  const std::size_t last = series.rows() - 1;
+  EXPECT_EQ(series.value(0, 0), 1.0);
+  EXPECT_EQ(series.value(last, 0), 2.0);
+  EXPECT_EQ(series.value(last, 1), 5.0);
 
-  const auto series = sampler.series();
-  ASSERT_GE(series.size(), 10u);
-  for (const auto& row : series) ASSERT_EQ(row.values.size(), 2u);
-  EXPECT_EQ(series.front().values[0], 1.0);
-  EXPECT_EQ(series.back().values[0], 2.0);
-  EXPECT_EQ(series.back().values[1], 5.0);
-  EXPECT_LE(series.front().timestamp_ns, series.back().timestamp_ns);
-
-  std::ostringstream csv;
-  sampler.dump_csv(csv);
-  EXPECT_EQ(csv.str().rfind("time_ns,/trtest/a,/trtest/b\n", 0), 0u);
-  std::ostringstream json;
-  sampler.dump_json(json);
-  EXPECT_NE(json.str().find("\"/trtest/a\""), std::string::npos);
-  EXPECT_NE(json.str().find("\"rows\""), std::string::npos);
+  EXPECT_TRUE(session.series_written());
+  EXPECT_EQ(slurp(csv_path).rfind("time_ns,/trtest/a,/trtest/b\n0,1,5\n", 0), 0u);
+  const std::string json_path = testing::TempDir() + "gran_series_rows.json";
+  ASSERT_TRUE(series.write_file(json_path));
+  const std::string json = slurp(json_path);
+  EXPECT_NE(json.find("\"/trtest/a\""), std::string::npos);
+  EXPECT_NE(json.find("\"rows\""), std::string::npos);
+  std::remove(csv_path.c_str());
+  std::remove(json_path.c_str());
 }
 
-TEST_F(SamplerTest, VanishedCounterReadsNaN) {
+TEST_F(SeriesTest, VanishedCounterReadsNaN) {
   auto& reg = perf::registry::instance();
   reg.add("/trtest/gone", perf::counter_kind::gauge, "", [] { return 1.0; });
-  perf::sampler_options opt;
-  opt.prefixes = {"/trtest"};
-  opt.interval_us = 500;
-  perf::sampler_thread sampler(opt);
-  while (sampler.samples_taken() < 3)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const std::string csv_path = testing::TempDir() + "gran_series_gone.csv";
+  perf::telemetry_session session(series_options(csv_path));
+  wait_windows(session, 3);
   reg.remove("/trtest/gone");
-  const auto before = sampler.samples_taken();
-  while (sampler.samples_taken() < before + 3)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
+  wait_windows(session, session.windows_exported() + 3);
+  session.stop();
 
-  const auto series = sampler.series();
-  ASSERT_FALSE(series.empty());
-  EXPECT_EQ(series.front().values[0], 1.0);
-  EXPECT_TRUE(std::isnan(series.back().values[0]));
-  std::ostringstream csv;
-  sampler.dump_csv(csv);
-  EXPECT_NE(csv.str().find("nan"), std::string::npos);
+  const perf::series_sink& series = session.series();
+  ASSERT_GE(series.rows(), 6u);
+  ASSERT_EQ(series.columns().size(), 1u);
+  EXPECT_EQ(series.value(0, 0), 1.0);
+  EXPECT_TRUE(std::isnan(series.value(series.rows() - 1, 0)));
+  EXPECT_NE(slurp(csv_path).find(",nan\n"), std::string::npos);
+  std::ostringstream json;
+  series.write(json, true);
+  EXPECT_NE(json.str().find(", null]"), std::string::npos);
+  std::remove(csv_path.c_str());
 }
 
-TEST_F(SamplerTest, CapacityBoundsRetainedRows) {
-  auto& reg = perf::registry::instance();
-  reg.add("/trtest/x", perf::counter_kind::gauge, "", [] { return 0.0; });
-  perf::sampler_options opt;
-  opt.prefixes = {"/trtest"};
-  opt.interval_us = 200;
-  opt.capacity = 4;
-  perf::sampler_thread sampler(opt);
-  while (sampler.samples_taken() < 12)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sampler.stop();
-  EXPECT_LE(sampler.series().size(), 4u);
-  EXPECT_GT(sampler.samples_dropped(), 0u);
+TEST_F(SeriesTest, RowCapKeepsNewestRows) {
+  perf::series_sink series;
+  constexpr std::size_t cap = perf::series_sink::max_rows;
+  for (std::size_t i = 0; i < cap + 3; ++i) {
+    perf::window_snapshot w;
+    w.t_end_ns = static_cast<std::int64_t>(i) * 1000;
+    w.metrics.push_back({"/trtest/x", perf::counter_kind::gauge,
+                         static_cast<double>(i)});
+    series.add(w);
+  }
+  ASSERT_EQ(series.rows(), cap);
+  EXPECT_EQ(series.value(0, 0), 3.0);  // the three oldest rows were dropped
+  EXPECT_EQ(series.value(cap - 1, 0), static_cast<double>(cap + 2));
+  std::ostringstream csv;
+  series.write(csv, false);
+  // time_ns restarts at the first kept row.
+  EXPECT_EQ(csv.str().rfind("time_ns,/trtest/x\n0,3\n", 0), 0u);
 }
 
 // --- observability_session options -------------------------------------------
 
 TEST(Observability, OptionsFromEnvAndCli) {
   ::setenv("GRAN_TRACE", "env.json", 1);
-  ::setenv("GRAN_SAMPLE_US", "250", 1);
+  ::setenv("GRAN_SAMPLE_OUT", "env.csv", 1);
   const auto env = perf::observability_session::options_from_env();
   EXPECT_EQ(env.trace_out, "env.json");
-  EXPECT_EQ(env.sample_interval_us, 250u);
+  EXPECT_EQ(env.sample_out, "env.csv");
   ::unsetenv("GRAN_TRACE");
-  ::unsetenv("GRAN_SAMPLE_US");
+  ::unsetenv("GRAN_SAMPLE_OUT");
 
-  const char* argv[] = {"prog", "--trace-out=cli.json", "--sample-interval-us=50",
-                        "--sample-out=s.json", "--sample-set=/threads,/trtest"};
-  const cli_args args(5, argv);
+  const char* argv[] = {"prog", "--trace-out=cli.json", "--sample-out=s.json"};
+  const cli_args args(3, argv);
   const auto opt = perf::observability_session::options_from_cli(args, env);
   EXPECT_EQ(opt.trace_out, "cli.json");  // CLI beats env
-  EXPECT_EQ(opt.sample_interval_us, 50u);
   EXPECT_EQ(opt.sample_out, "s.json");
-  ASSERT_EQ(opt.sample_prefixes.size(), 2u);
-  EXPECT_EQ(opt.sample_prefixes[0], "/threads");
-  EXPECT_EQ(opt.sample_prefixes[1], "/trtest");
 }
 
 }  // namespace

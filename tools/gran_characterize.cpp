@@ -59,9 +59,8 @@ void print_usage() {
       "observability (native mode; see docs/TRACING.md):\n"
       "  --trace-out=PATH         export a Chrome/Perfetto trace of the run\n"
       "  --trace-buf=N            per-worker trace ring capacity, events\n"
-      "  --sample-interval-us=N   background counter sampling period (>0 = on)\n"
-      "  --sample-out=PATH        time-series dump (.csv or .json)\n"
-      "  --sample-set=P1,P2       counter prefixes to sample (default /threads)\n";
+      "  --sample-out=PATH        counter time series (.csv or .json), one row\n"
+      "                           per telemetry window (--metrics-interval-us)\n";
 }
 
 // Task-graph mode: characterize one dependence pattern by sweeping the
