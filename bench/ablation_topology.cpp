@@ -45,6 +45,7 @@
 #include "threads/thread_manager.hpp"
 #include "topo/topology.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace gran;
@@ -61,23 +62,16 @@ struct cell {
   std::uint64_t stolen_remote = 0;
 };
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n == 0 ? 0.0 : (n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]));
-}
-
 cell run_cell(const graph::graph_spec& g, const graph::kernel_spec& k,
               scheduler_config cfg, int samples, std::size_t window) {
   thread_manager tm(cfg);
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(samples));
+  sample_stats times;
   for (int s = 0; s < samples; ++s)
-    times.push_back(graph::run_graph(tm, g, k, window).elapsed_s);
+    times.add(graph::run_graph(tm, g, k, window).elapsed_s);
 
   const auto tot = tm.counter_totals();
   cell c;
-  c.elapsed_med_s = median(std::move(times));
+  c.elapsed_med_s = times.median();
   c.stolen = tot.tasks_stolen;
   c.stolen_remote = tot.tasks_stolen_remote;
   c.stolen_local = tot.tasks_stolen - std::min(tot.tasks_stolen, tot.tasks_stolen_remote);

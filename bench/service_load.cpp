@@ -29,26 +29,24 @@
 //                           load --util=F (rate = F × workers / grain)
 //   --json=PATH             machine-readable dump of the last native cell
 //   --baseline=PATH         gate against a previous --json dump:
-//                           achieved/s must not regress more than
-//                           --tolerance-pct (default 10), p99 sojourn must
-//                           stay under baseline × --p99-tolerance-x
-//                           (default 3)
+//                           achieved/s must not regress more than 10%, p99
+//                           sojourn must stay under 3x the baseline's
 //
 // Plus the standard observability flags (--metrics-out, --metrics-prom,
 // ...): a service run streams the new interval.service section, which
 // gran_top renders and --check validates.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/baseline.hpp"
 #include "perf/observability.hpp"
 #include "service/arrival.hpp"
 #include "service/service.hpp"
@@ -222,14 +220,6 @@ void print_cell(const char* mode, const cell_config& cfg, const cell_result& r) 
             << "\n";
 }
 
-double json_number(const std::string& text, const std::string& key) {
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return std::nan("");
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -327,20 +317,15 @@ int main(int argc, char** argv) {
 
   const std::string baseline = args.get("baseline", "");
   if (!baseline.empty() && have_native) {
-    std::ifstream f(baseline);
-    if (!f) {
-      std::cerr << "cannot read baseline " << baseline << "\n";
-      return 2;
-    }
-    std::stringstream ss;
-    ss << f.rdbuf();
-    const double base_tps = json_number(ss.str(), "achieved_per_s");
-    const double base_p99 = json_number(ss.str(), "p99_sojourn_ns");
+    const std::optional<json_value> base = bench::read_baseline(baseline);
+    if (!base) return 2;
+    const double base_tps = base->number_at("achieved_per_s", 0);
+    const double base_p99 = base->number_at("p99_sojourn_ns", 0);
     if (!(base_tps > 0)) {
       std::cerr << "baseline " << baseline << " has no achieved_per_s\n";
       return 2;
     }
-    const double tolerance = args.get_double("tolerance-pct", 10.0);
+    constexpr double tolerance = 10.0;
     const double delta_pct = (1.0 - last_native.achieved_per_s / base_tps) * 100.0;
     std::cout << "achieved/s vs baseline: " << format_number(delta_pct, 2)
               << " % lower (tolerance " << format_number(tolerance, 1) << " %)\n";
@@ -353,7 +338,7 @@ int main(int argc, char** argv) {
     // p99 sojourn gate: generous multiplier — log2-bucket resolution plus
     // shared-runner noise make tight latency gates flaky, but a broken
     // ingress path blows p99 up by orders of magnitude, not 3x.
-    const double p99_x = args.get_double("p99-tolerance-x", 3.0);
+    constexpr double p99_x = 3.0;
     if (base_p99 > 0) {
       std::cout << "p99 sojourn vs baseline: "
                 << format_number(last_native.p99_ns / base_p99, 2) << "x (limit "

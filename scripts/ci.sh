@@ -99,7 +99,7 @@ echo "topology smoke: quick + GRAN_PIN={compact,scatter} ok"
 echo "=== ci: lazy-split smoke ==="
 # A quick Fig. 3-style grain sweep with the closed-loop splitter in the ring,
 # native and simulated. No throughput gate at CI sizes (the full gated run is
-# scripts/bench_adaptive_baseline.sh); this catches wiring regressions —
+# `scripts/bench_baselines.py adaptive`); this catches wiring regressions —
 # lazy_chunk must run to completion in both modes and the sim must split.
 # The split gate itself must be able to fail: with splitting disabled every
 # native lazy cell records 0 splits, and --check has to say so and exit
@@ -117,6 +117,31 @@ grep -q "lazy_chunk recorded 0 splits" "$trace_tmp/split_gate.txt" \
   || { echo "lazy-split smoke: no split-gate failure line" >&2; \
        cat "$trace_tmp/split_gate.txt" >&2; exit 1; }
 echo "lazy-split smoke: native + sim + failing split gate ok"
+
+echo "=== ci: plane gates ==="
+# Every measurement-plane gate must be able to fail. A tiny run against a
+# baseline that claims 1e12 tasks/s with the plane off must trip the
+# cross-session gate (exit 1, a "regressed" FAIL line), and a malformed
+# baseline must be refused (exit 2), not waved through.
+echo '{"off_tasks_per_s": 1e12}' > "$trace_tmp/inflated.json"
+echo '{"off_tasks_per_s": ' > "$trace_tmp/malformed.json"
+for plane in trace telemetry pmu; do
+  rc=0
+  ./build/bench/micro_plane_overhead --plane="$plane" --tasks=2000 --reps=1 \
+      --baseline="$trace_tmp/inflated.json" > "$trace_tmp/plane.txt" 2>&1 \
+    || rc=$?
+  [[ $rc -eq 1 ]] && grep -q "regressed" "$trace_tmp/plane.txt" \
+    || { echo "plane gates: $plane passed an inflated baseline (exit $rc)" >&2; \
+         cat "$trace_tmp/plane.txt" >&2; exit 1; }
+  rc=0
+  ./build/bench/micro_plane_overhead --plane="$plane" --tasks=2000 --reps=1 \
+      --baseline="$trace_tmp/malformed.json" > "$trace_tmp/plane.txt" 2>&1 \
+    || rc=$?
+  [[ $rc -eq 2 ]] \
+    || { echo "plane gates: $plane took a malformed baseline (exit $rc)" >&2; \
+         cat "$trace_tmp/plane.txt" >&2; exit 1; }
+done
+echo "plane gates: {trace,telemetry,pmu} fail on inflated, refuse malformed ok"
 
 echo "=== ci: service smoke ==="
 # Task-service ingress end to end, sized for 1-CPU runners: a short open-loop

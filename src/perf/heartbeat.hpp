@@ -8,8 +8,8 @@
 // thread_manager:
 //   * beat_ticks        last scheduler-round timestamp (tsc). A worker that
 //                       stops beating is wedged or parked; parking alone is
-//                       NOT an incident (parked workers beat at
-//                       idle_park_us granularity).
+//                       NOT an incident (parked workers beat at least
+//                       every 2 ms, the scheduler's park timeout).
 //   * phase_start_ticks tsc at the start of the phase currently executing on
 //                       this worker, 0 when no task is running. A non-zero
 //                       value older than the stuck threshold is the
@@ -19,7 +19,7 @@
 //
 // Writers are the worker OS threads (one per slot); stamping is one or two
 // relaxed stores per scheduler round — cheap enough to stay always-on
-// (bench/micro_telemetry_overhead gates the total at 2%).
+// (bench/micro_plane_overhead --plane=telemetry gates the total at 2%).
 #pragma once
 
 #include <algorithm>

@@ -25,7 +25,7 @@
 // recorded once in /threads/pmu/{mode,events-unavailable} and the
 // Prometheus export. The plane is OFF by default (GRAN_PMU=1 / --pmu turns
 // it on), so the disabled hot path is a single null-pointer branch in
-// run_phase (bench/micro_pmu_overhead gates it at <=1%).
+// run_phase (bench/micro_plane_overhead --plane=pmu gates it at <=1%).
 //
 // Readers are per worker thread: perf_event_open self-attaches to the
 // calling thread (pid=0), so create_reader() must run on the thread that

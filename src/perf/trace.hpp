@@ -6,7 +6,8 @@
 //
 // Design constraints (see docs/TRACING.md for the full schema):
 //  * Disabled cost is one predictable branch on a relaxed atomic load —
-//    tracing must be free when off (bench/micro_trace_overhead measures it).
+//    tracing must be free when off (bench/micro_plane_overhead
+//    --plane=trace measures it).
 //  * Each ring has exactly one producer (its worker OS thread); recording is
 //    two plain stores plus one release store of the sequence counter, no
 //    CAS, no allocation.

@@ -4,7 +4,6 @@
 // resource allocation policy (NUMA awareness)".
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace gran {
@@ -52,27 +51,6 @@ struct scheduler_config {
   // Empty = the GRAN_STEAL_BATCH environment variable, falling back to
   // "adaptive". Ignored by the other policies.
   std::string steal_batch;
-
-  // Capacity of each queue's lock-free ring before spilling to the
-  // mutex-protected overflow stage.
-  std::size_t queue_ring_capacity = 4096;
-
-  // Spins before an idle worker starts OS-yielding.
-  unsigned idle_spin_limit = 64;
-  // Consecutive fruitless probes before an idle worker parks (or, with
-  // idle_park = false, falls back to a fixed 50 µs sleep).
-  unsigned idle_yield_limit = 256;
-
-  // Event-based idle parking: starved workers block on a condition variable
-  // and are woken by the next enqueue, instead of polling on a fixed sleep.
-  // Cuts wakeup latency at fine grain and idle-spin waste at coarse grain.
-  bool idle_park = true;
-  // Upper bound on one parked wait, µs — a safety net so a worker re-probes
-  // even if every wakeup were lost; not the normal wakeup path.
-  unsigned idle_park_us = 2000;
-
-  // Fiber stack size in bytes; 0 = stack_pool::default_stack_size().
-  std::size_t stack_size = 0;
 };
 
 }  // namespace gran

@@ -29,12 +29,25 @@ thread_local thread_manager* tl_manager = nullptr;
 thread_local int tl_worker = -1;
 thread_local task* tl_task = nullptr;
 
+// Capacity of each queue's lock-free ring before it spills to the
+// mutex-protected overflow stage.
+constexpr std::size_t queue_ring_capacity = 4096;
+
+// Idle escalation: spins before an idle worker starts OS-yielding, then
+// consecutive fruitless probes before it parks.
+constexpr unsigned idle_spin_limit = 64;
+constexpr unsigned idle_yield_limit = 256;
+
+// Upper bound on one parked wait — a safety net so a worker re-probes even if
+// every wakeup were lost; not the normal wakeup path.
+constexpr std::chrono::microseconds idle_park_timeout{2000};
+
 }  // namespace
 
 thread_manager::thread_manager(scheduler_config cfg)
     : cfg_(std::move(cfg)),
-      low_queue_(cfg_.queue_ring_capacity),
-      stacks_(cfg_.stack_size ? cfg_.stack_size : stack_pool::default_stack_size()) {
+      low_queue_(queue_ring_capacity),
+      stacks_(stack_pool::default_stack_size()) {
   const topology& topo = topology::host();
   const std::vector<int> allowed = allowed_cpus();
 
@@ -74,7 +87,7 @@ thread_manager::thread_manager(scheduler_config cfg)
   workers_.reserve(static_cast<std::size_t>(workers));
   workers_by_node_.resize(static_cast<std::size_t>(num_numa_domains_));
   for (int w = 0; w < workers; ++w) {
-    auto wd = std::make_unique<worker_data>(cfg_.queue_ring_capacity);
+    auto wd = std::make_unique<worker_data>(queue_ring_capacity);
     wd->index = w;
     const worker_assignment& a = plan_.workers[static_cast<std::size_t>(w)];
     // Domain from the plan, unless overridden: then spread workers evenly,
@@ -378,15 +391,15 @@ void thread_manager::worker_main(int w) {
     me.pmu = perf::pmu_plane::instance().create_reader();
 
   std::uint64_t stamp = tsc_clock::now();
-  idle_backoff idler(cfg_.idle_spin_limit, cfg_.idle_yield_limit);
+  idle_backoff idler(idle_spin_limit, idle_yield_limit);
 
   const auto accumulate_func = [&] {
     const std::uint64_t now = tsc_clock::now();
     me.counters.func_ticks.fetch_add(now - stamp, std::memory_order_relaxed);
     stamp = now;
     // Heartbeat: reuses the tsc read above, so liveness costs one relaxed
-    // store per scheduler round. Parked workers still beat every
-    // idle_park_us.
+    // store per scheduler round. Parked workers still beat at least every
+    // idle_park_timeout.
     if (me.heartbeat != nullptr)
       me.heartbeat->beat_ticks.store(now, std::memory_order_relaxed);
   };
@@ -424,15 +437,10 @@ void thread_manager::worker_main(int w) {
         tasks_alive_.load(std::memory_order_acquire) == 0)
       break;
 
-    // Long starvation escalates spin -> yield -> park. Parked (or slept)
-    // time still counts into Σt_func, which is what makes starvation
-    // visible as idle-rate.
-    if (idler.pause()) {
-      if (cfg_.idle_park)
-        park_idle(w);
-      else
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+    // Long starvation escalates spin -> yield -> park. Parked time still
+    // counts into Σt_func, which is what makes starvation visible as
+    // idle-rate.
+    if (idler.pause()) park_idle(w);
     accumulate_func();
   }
 
@@ -470,12 +478,12 @@ bool thread_manager::park_idle(int w) {
     // that our caller's fruitless search missed either bumped park_epoch_
     // before we read it (producer unlocked first, so its push is visible
     // here) or will see sleepers_ > 0 and signal us. Either way no wakeup
-    // is lost; idle_park_us bounds the damage of the impossible case.
+    // is lost; idle_park_timeout bounds the damage of the impossible case.
     if (running_.load(std::memory_order_acquire) && policy_->queues_empty(*this)) {
       const std::uint64_t observed = park_epoch_;
       parked = true;
       perf::trace_emit(trace, perf::trace_kind::park, w);
-      park_cv_.wait_for(lock, std::chrono::microseconds(cfg_.idle_park_us),
+      park_cv_.wait_for(lock, idle_park_timeout,
                         [&] {
                           return park_epoch_ != observed ||
                                  !running_.load(std::memory_order_acquire);

@@ -287,8 +287,9 @@ class thread_manager {
   // a producer publishes its push, issues a seq_cst fence, *then* reads the
   // sleeper count — one of the two must observe the other (Dekker).
   void notify_work(bool all = false);
-  // Parks worker `w` (the caller) for at most cfg_.idle_park_us. Returns
-  // false when the re-probe found work and the park was skipped.
+  // Parks worker `w` (the caller) for at most idle_park_timeout (2 ms, a
+  // constant in thread_manager.cpp). Returns false when the re-probe found
+  // work and the park was skipped.
   bool park_idle(int w);
 
   scheduler_config cfg_;

@@ -48,8 +48,8 @@ class backoff {
 
 // Idle-worker escalation: spin with pause hints, then OS-yield, then tell
 // the caller to park (block on its wakeup primitive). Unlike `backoff`, the
-// two thresholds are configurable so the scheduler's idle_spin_limit /
-// idle_yield_limit knobs map onto it directly.
+// two thresholds are parameters: the scheduler passes its idle_spin_limit /
+// idle_yield_limit constants (thread_manager.cpp).
 class idle_backoff {
  public:
   idle_backoff(std::uint32_t spin_limit, std::uint32_t yield_limit) noexcept
